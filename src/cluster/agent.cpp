@@ -11,239 +11,139 @@
 
 namespace fs2::cluster {
 
+namespace {
+
+/// Dial budget for the first connect: an agent routinely starts before its
+/// coordinator finishes binding.
+constexpr double kConnectTimeoutS = 15.0;
+/// Overall budget for one reconnect/rejoin recovery (dial + handshake,
+/// across backoff attempts) after a lost link.
+constexpr double kRejoinTimeoutS = 30.0;
+/// Longest coordinator silence tolerated at a phase barrier or shutdown.
+constexpr double kBarrierTimeoutS = 600.0;
+
+}  // namespace
+
 AgentSession::AgentSession(const Options& options)
     : options_(options),
-      conn_(Connection::connect(options.endpoint, options.connect_timeout_s)),
-      metrics_tracker_(trace::Registry::instance()) {
-  HelloMsg hello;
-  hello.node_name = options.node_name;
-  hello.sku = options.sku;
-  conn_.send(hello.encode());
-
-  // Handshake loop: answer sync probes until the campaign arrives, then
-  // take the epoch. The coordinator owns the sequencing; the agent only
-  // reacts.
-  bool have_campaign = false;
-  bool have_epoch = false;
-  while (!have_campaign || !have_epoch) {
-    const auto frame = conn_.recv(/*timeout_s=*/30.0);
-    if (!frame) throw WireError("agent: coordinator went silent during handshake");
-    WireReader reader(frame->payload);
-    switch (frame->type) {
-      case MessageType::kSyncProbe: {
-        const SyncProbeMsg probe = SyncProbeMsg::decode(reader);
-        SyncReplyMsg reply;
-        reply.seq = probe.seq;
-        reply.t_coord_s = probe.t_coord_s;
-        reply.t_agent_s = local_clock_s();
-        conn_.send(reply.encode());
-        break;
-      }
-      case MessageType::kCampaign:
-        campaign_ = CampaignMsg::decode(reader);
-        current_setpoint_w_ = campaign_.initial_setpoint_w;
-        // The coordinator decides fleet-wide whether spans are recorded;
-        // the flag arrives before the epoch, so phase 0 is covered.
-        if (campaign_.trace_enabled != 0) trace::Tracer::set_enabled(true);
-        have_campaign = true;
-        break;
-      case MessageType::kEpoch:
-        epoch_ = EpochMsg::decode(reader);
-        epoch_time_ = to_time_point(epoch_.t0_agent_s);
-        have_epoch = true;
-        break;
-      default:
-        throw WireError(std::string("agent: unexpected ") + to_string(frame->type) +
-                        " during handshake");
-    }
-  }
-  sink_ = std::make_unique<RemoteSink>(&conn_, epoch_time_);
-  next_metrics_s_ = campaign_.metrics_interval_s;
+      conn_(Connection::connect(options.endpoint, kConnectTimeoutS)),
+      protocol_(options.node_name, trace::Registry::instance()) {
+  protocol_.hello(options.sku);
+  send_output();
+  admit(/*timeout_s=*/30.0);
+  sink_ = std::make_unique<RemoteSink>(&conn_, epoch_time());
   log::info() << "agent: joined cluster " << log::kv("node", options.node_name) << ' '
               << log::kv("endpoint", options.endpoint) << ' '
-              << log::kv("offset_us", strings::format("%.1f", epoch_.offset_s * 1e6))
-              << ' ' << log::kv("rtt_us", strings::format("%.1f", epoch_.rtt_s * 1e6))
-              << ' ' << log::kv("metrics_interval_s", campaign_.metrics_interval_s);
+              << log::kv("offset_us", strings::format("%.1f", protocol_.epoch().offset_s * 1e6))
+              << ' ' << log::kv("rtt_us", strings::format("%.1f", protocol_.epoch().rtt_s * 1e6))
+              << ' ' << log::kv("metrics_interval_s", campaign().metrics_interval_s);
 }
 
-double AgentSession::epoch_elapsed_s() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_time_)
-      .count();
+void AgentSession::send_output() {
+  for (const Frame& frame : protocol_.take_output()) conn_.send(frame);
 }
 
-void AgentSession::wait_for_start() const {
-  std::this_thread::sleep_until(epoch_time_);
+AgentProtocol::Action AgentSession::next_action(double timeout_s, const char* what) {
+  for (;;) {
+    const auto frame = conn_.recv(timeout_s);
+    if (!frame)
+      throw WireError(strings::format("agent: no %s from the coordinator within %.0f s",
+                                      what, timeout_s));
+    const AgentProtocol::Action action = protocol_.on_frame(*frame, local_clock_s());
+    send_output();
+    if (action != AgentProtocol::Action::kNone) return action;
+  }
 }
 
-Frame AgentSession::expect(MessageType type, double timeout_s) {
-  const auto frame = conn_.recv(timeout_s);
-  if (!frame)
-    throw WireError(strings::format("agent: no %s from the coordinator within %.0f s",
-                                    to_string(type), timeout_s));
-  if (frame->type == MessageType::kShutdown && type != MessageType::kShutdown)
-    throw WireError("agent: coordinator shut the run down early");
-  if (frame->type != type)
-    throw WireError(std::string("agent: expected ") + to_string(type) + ", got " +
-                    to_string(frame->type));
-  return *frame;
+void AgentSession::admit(double timeout_s) {
+  // The coordinator owns the sequencing (sync probes, campaign, epoch); the
+  // only action admission can yield is "campaign ready". A phase-go replay
+  // queued behind a rejoin's epoch stays buffered for begin_phase().
+  next_action(timeout_s, "campaign");
+  // The coordinator decides fleet-wide whether spans are recorded; the flag
+  // arrives before the epoch, so phase 0 is covered.
+  if (protocol_.tracing()) trace::Tracer::set_enabled(true);
 }
 
-void AgentSession::begin_phase(std::uint32_t phase_index) {
+void AgentSession::begin_phase() {
   TRACE_SPAN("agent.phase_barrier");
-  next_budget_s_ = campaign_.budget_interval_s;
-  if (phase_index == 0) return;  // phase 0's barrier is the epoch itself
-  const Frame frame = expect(MessageType::kPhaseGo, /*timeout_s=*/600.0);
-  WireReader reader(frame.payload);
-  const PhaseGoMsg go = PhaseGoMsg::decode(reader);
-  if (go.phase_index != phase_index)
-    throw WireError(strings::format("agent: phase-go for %u while entering %u",
-                                    go.phase_index, phase_index));
+  if (protocol_.state() != AgentProtocol::State::kAwaitStart) {
+    next_action(kBarrierTimeoutS, "phase-go");
+    return;
+  }
+  // Phase 0 holds the whole fleet at the shared epoch (a wake-up a hair
+  // early simply sleeps again).
+  while (protocol_.on_time(local_clock_s()) == AgentProtocol::Action::kNone)
+    std::this_thread::sleep_until(epoch_time());
 }
 
-bool AgentSession::budget_due(double t_s) const {
-  return has_budget() && t_s >= next_budget_s_ - 1e-9;
+void AgentSession::end_phase(const std::string& name, double begin_s) {
+  // Runtime-built span names ("phase:<name>") cannot ride the literal-only
+  // global Tracer ring; the protocol buffers them.
+  protocol_.add_span("phase:" + name, begin_s, trace::now_s());
+  protocol_.end_phase();
+  protocol_.ship_metrics(local_clock_s());
+  send_output();
 }
 
-bool AgentSession::metrics_due() const {
-  return campaign_.metrics_interval_s > 0.0 && epoch_elapsed_s() >= next_metrics_s_;
-}
-
-void AgentSession::ship_metrics() {
-  // Re-arm on the fixed grid so a late ship doesn't drift the cadence;
-  // skip the wire entirely when nothing moved since the last delta.
-  const double interval = campaign_.metrics_interval_s;
-  while (next_metrics_s_ <= epoch_elapsed_s()) next_metrics_s_ += interval;
-  trace::MetricDelta delta = metrics_tracker_.collect();
-  if (delta.empty()) return;
-  MetricUpdateMsg msg;
-  msg.seq = metrics_seq_++;
-  msg.t_agent_s = epoch_elapsed_s();
-  msg.delta = std::move(delta);
-  conn_.send(msg.encode());
+void AgentSession::tick(double t_s, control::FeedbackLoop* loop) {
+  if (loop != nullptr && protocol_.budget_due(t_s)) {
+    TRACE_SPAN("agent.budget_exchange");
+    protocol_.report_budget(*loop);
+    send_output();
+    next_action(/*timeout_s=*/60.0, "budget assign");
+    loop->set_target(protocol_.setpoint_w());
+  }
+  protocol_.ship_metrics(local_clock_s());
+  send_output();
 }
 
 void AgentSession::ship_flight_record(const std::string& reason) {
   try {
     if (!conn_.valid()) return;
-    FlightRecordMsg msg;
-    msg.reason = reason;
-    msg.dump = trace::FlightRecorder::instance().serialize();
-    conn_.send(msg.encode());
+    protocol_.flight_record(reason);
+    send_output();
   } catch (const Error&) {
     // Already dying; the dump on local disk (--flight-out) is the backup.
   }
 }
 
-void AgentSession::budget_exchange(double t_s, control::FeedbackLoop& loop) {
-  TRACE_SPAN("agent.budget_exchange");
-  next_budget_s_ += campaign_.budget_interval_s;
-  BudgetReportMsg report;
-  report.seq = budget_seq_++;
-  report.achieved_w = loop.trailing_mean(campaign_.budget_interval_s);
-  report.setpoint_w = loop.setpoint().value;
-  report.level = loop.profile().level();
-  conn_.send(report.encode());
-
-  const Frame frame = expect(MessageType::kBudgetAssign, /*timeout_s=*/60.0);
-  WireReader reader(frame.payload);
-  const BudgetAssignMsg assign = BudgetAssignMsg::decode(reader);
-  if (assign.seq != report.seq)
-    throw WireError(strings::format("agent: budget assign seq %u for report %u",
-                                    assign.seq, report.seq));
-  current_setpoint_w_ = assign.setpoint_w;
-  loop.set_target(assign.setpoint_w);
-  (void)t_s;
-}
-
-std::uint32_t AgentSession::rejoin(std::uint32_t phases_ended) {
+std::uint32_t AgentSession::rejoin() {
   conn_.close();
   // Jitter seeded from the campaign id + node identity: reproducible per
   // run, and a whole fleet knocked over at once fans its redials out
   // instead of stampeding the listener in lockstep.
   Backoff::Options opts;
-  std::uint64_t seed = campaign_.campaign_id + phases_ended;
+  std::uint64_t seed = campaign().campaign_id + protocol_.phase();
   for (const char c : options_.node_name) seed = seed * 31 + static_cast<std::uint8_t>(c);
   opts.seed = seed;
   Backoff backoff(opts);
-  const auto give_up_at =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.rejoin_timeout_s));
-  bool refused = false;
+  const auto give_up_at = std::chrono::steady_clock::now() +
+                          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                              std::chrono::duration<double>(kRejoinTimeoutS));
   for (;;) {
     try {
-      Connection fresh = Connection::connect(options_.endpoint, /*retry_for_s=*/1.0);
-      RejoinMsg msg;
-      msg.node_name = options_.node_name;
-      msg.campaign_id = campaign_.campaign_id;
-      msg.phases_ended = phases_ended;
-      fresh.send(msg.encode());
-      const auto reply = fresh.recv(/*timeout_s=*/10.0);
-      if (!reply || reply->type != MessageType::kRejoinAck)
-        throw WireError("agent: no rejoin ack from the coordinator");
-      WireReader ack_reader(reply->payload);
-      const RejoinAckMsg ack = RejoinAckMsg::decode(ack_reader);
-      if (ack.accepted == 0) {
-        // Authoritative: the window expired, the campaign id is stale, or
-        // the verdict is already in. Retrying cannot change the answer.
-        refused = true;
-        throw Error("agent: rejoin refused: " + ack.detail);
-      }
-
-      // Re-run the admission sequence on the fresh socket: sync probes,
-      // then the campaign and the ORIGINAL epoch re-expressed through the
-      // new clock offset. A phase-go replay may already be queued behind
-      // them; it stays buffered for the next begin_phase.
-      bool have_campaign = false;
-      bool have_epoch = false;
-      while (!have_campaign || !have_epoch) {
-        const auto frame = fresh.recv(/*timeout_s=*/30.0);
-        if (!frame) throw WireError("agent: coordinator went silent during rejoin");
-        WireReader reader(frame->payload);
-        switch (frame->type) {
-          case MessageType::kSyncProbe: {
-            const SyncProbeMsg probe = SyncProbeMsg::decode(reader);
-            SyncReplyMsg sync_reply;
-            sync_reply.seq = probe.seq;
-            sync_reply.t_coord_s = probe.t_coord_s;
-            sync_reply.t_agent_s = local_clock_s();
-            fresh.send(sync_reply.encode());
-            break;
-          }
-          case MessageType::kCampaign:
-            campaign_ = CampaignMsg::decode(reader);
-            current_setpoint_w_ = campaign_.initial_setpoint_w;
-            have_campaign = true;
-            break;
-          case MessageType::kEpoch:
-            epoch_ = EpochMsg::decode(reader);
-            epoch_time_ = to_time_point(epoch_.t0_agent_s);
-            have_epoch = true;
-            break;
-          default:
-            throw WireError(std::string("agent: unexpected ") +
-                            to_string(frame->type) + " during rejoin");
-        }
-      }
       // conn_ is a member, so its address — which the RemoteSink holds —
-      // survives the swap; the sink keeps streaming on the new socket with
-      // its channel registrations intact (the coordinator kept the node's
-      // registration state across the outage).
-      conn_ = std::move(fresh);
-      next_metrics_s_ = campaign_.metrics_interval_s > 0.0
-                            ? epoch_elapsed_s() + campaign_.metrics_interval_s
-                            : 0.0;
+      // survives the redial; the sink keeps streaming on the new socket
+      // with its channel registrations intact (the coordinator kept the
+      // node's registration state across the outage).
+      conn_ = Connection::connect(options_.endpoint, /*retry_for_s=*/1.0);
+      protocol_.rejoin(campaign().campaign_id, protocol_.phase());
+      send_output();
+      admit(kRejoinAckTimeoutS);
       log::info() << "agent: rejoined cluster " << log::kv("node", options_.node_name)
-                  << ' ' << log::kv("resume_phase", ack.resume_phase) << ' '
+                  << ' ' << log::kv("resume_phase", protocol_.phase()) << ' '
                   << log::kv("attempts", backoff.attempts() + 1);
       trace::FlightRecorder::instance().note_event(
-          strings::format("rejoined coordinator, resuming phase %u", ack.resume_phase));
-      return ack.resume_phase;
+          strings::format("rejoined coordinator, resuming phase %u", protocol_.phase()));
+      return protocol_.phase();
+    } catch (const RejoinRefused&) {
+      conn_.close();
+      throw;
     } catch (const Error& e) {
-      if (refused) throw;
       if (std::chrono::steady_clock::now() >= give_up_at)
         throw Error(strings::format("agent: rejoin failed for %.0f s: %s",
-                                    options_.rejoin_timeout_s, e.what()));
+                                    kRejoinTimeoutS, e.what()));
       const double delay = backoff.next_s();
       log::warn() << "agent: rejoin attempt failed (" << e.what() << "); retrying in "
                   << strings::format("%.0f ms", delay * 1e3);
@@ -252,38 +152,20 @@ std::uint32_t AgentSession::rejoin(std::uint32_t phases_ended) {
   }
 }
 
-void AgentSession::add_span(std::string name, double begin_s, double end_s) {
-  if (campaign_.trace_enabled == 0) return;
-  extra_spans_.push_back(trace::Span{std::move(name), begin_s, end_s});
-}
-
 void AgentSession::finish(bool converged, const std::string& detail) {
-  // Trace shipment precedes the verdict: the verdict is the coordinator's
-  // "node done" signal, so everything observability must already be on the
-  // wire when it lands. The last metric delta ships first so the
-  // coordinator's folded series equal the node's final registry totals.
-  if (campaign_.metrics_interval_s > 0.0) ship_metrics();
-  if (campaign_.trace_enabled != 0) {
+  std::uint64_t dropped = 0;
+  std::optional<std::vector<trace::MetricSnapshot>> counters;
+  if (protocol_.tracing()) {
     std::vector<trace::SpanEvent> events;
     trace::Tracer::drain(events);
-    TraceSpansMsg spans;
-    spans.spans.reserve(events.size() + extra_spans_.size());
-    for (const trace::SpanEvent& e : events)
-      spans.spans.push_back(trace::Span{e.name, e.begin_s, e.end_s});
-    for (trace::Span& span : extra_spans_) spans.spans.push_back(std::move(span));
-    extra_spans_.clear();
-    spans.dropped = trace::Tracer::dropped();
-    conn_.send(spans.encode());
-
-    CounterSnapshotMsg counters;
-    counters.counters = trace::Registry::instance().snapshot();
-    conn_.send(counters.encode());
+    for (const trace::SpanEvent& e : events) protocol_.add_span(e.name, e.begin_s, e.end_s);
+    dropped = trace::Tracer::dropped();
+    // The real agent owns its process, so its registry snapshot is its own.
+    counters = trace::Registry::instance().snapshot();
   }
-  VerdictMsg verdict;
-  verdict.converged = converged ? 1 : 0;
-  verdict.detail = detail;
-  conn_.send(verdict.encode());
-  expect(MessageType::kShutdown, /*timeout_s=*/600.0);
+  protocol_.finish(local_clock_s(), converged, detail, dropped, std::move(counters));
+  send_output();
+  next_action(kBarrierTimeoutS, "shutdown");
   conn_.close();
 }
 

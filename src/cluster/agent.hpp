@@ -4,19 +4,18 @@
 #include <memory>
 #include <string>
 
+#include "cluster/agent_protocol.hpp"
 #include "cluster/clock_sync.hpp"
 #include "cluster/remote_sink.hpp"
 #include "cluster/transport.hpp"
 #include "control/feedback_loop.hpp"
-#include "trace/metric_delta.hpp"
 
 namespace fs2::cluster {
 
-/// One node's side of a coordinated run: dials the coordinator, identifies
-/// itself, answers the clock-sync probes, and receives the campaign and the
-/// shared epoch. The campaign runner then drives the session — waiting for
-/// the epoch, bracketing phases (the coordinator's per-phase barrier), and
-/// exchanging budget reports for reassigned power setpoints — while the
+/// One node's side of a coordinated run over a blocking socket: the thin
+/// driver that feeds an AgentProtocol from the coordinator link (recv, feed,
+/// send). The constructor completes admission; the campaign runner then
+/// drives phase barriers, budget rounds and metric shipping while the
 /// session's RemoteSink streams the node's telemetry bus to the wire.
 ///
 /// Everything runs on the agent's single campaign thread; incoming traffic
@@ -28,96 +27,65 @@ class AgentSession {
     std::string endpoint;     ///< coordinator HOST:PORT
     std::string node_name;
     std::string sku;          ///< e.g. "sim-zen2@1500MHz"
-    double connect_timeout_s = 15.0;
-    /// Overall budget for one reconnect/rejoin recovery (dial + handshake,
-    /// across backoff attempts) after a lost link.
-    double rejoin_timeout_s = 30.0;
   };
 
   /// Connects and completes the whole handshake: hello, sync replies until
   /// the campaign arrives, then the epoch. Throws on protocol errors.
   explicit AgentSession(const Options& options);
 
-  const CampaignMsg& campaign() const { return campaign_; }
-  bool has_budget() const { return campaign_.has_budget != 0; }
-  /// The node's power setpoint right now (initial share until the first
-  /// budget assign moves it).
-  double current_setpoint_w() const { return current_setpoint_w_; }
-
+  const CampaignMsg& campaign() const { return protocol_.campaign(); }
+  bool has_budget() const { return campaign().has_budget != 0; }
+  /// The node's power setpoint (initial share until an assign moves it).
+  double current_setpoint_w() const { return protocol_.setpoint_w(); }
   /// The shared campaign start in this node's clock.
-  std::chrono::steady_clock::time_point epoch_time() const { return epoch_time_; }
-  double epoch_elapsed_s() const;
-  /// Block until the shared epoch arrives (no-op when already past).
-  void wait_for_start() const;
+  std::chrono::steady_clock::time_point epoch_time() const {
+    return to_time_point(protocol_.epoch().t0_agent_s);
+  }
 
   /// The sink to attach to the node's TelemetryBus.
   RemoteSink& sink() { return *sink_; }
 
-  /// Phase barrier: phase 0 starts at the epoch; later phases block here
-  /// until the coordinator has seen every node finish the previous one and
-  /// broadcasts phase-go. Also resets the budget-report cadence to the new
-  /// phase's local time base.
-  void begin_phase(std::uint32_t phase_index);
+  /// Phase barrier: block until the next phase opens — at the shared epoch
+  /// for phase 0, on the coordinator's phase-go (every node finished the
+  /// previous phase) for later ones.
+  void begin_phase();
+  /// The open phase finished on this node: buffer its span (tracing runs),
+  /// credit it for a rejoin, and ship metrics if due — the phase edge is the
+  /// shipping point of open-loop sim phases, which have no inner wall loop.
+  void end_phase(const std::string& name, double begin_s);
 
-  /// True when phase-local time `t_s` has crossed the next budget-report
-  /// deadline (budget mode only; always false otherwise).
-  bool budget_due(double t_s) const;
+  /// In-phase service point at phase-local time `t_s`: a due budget round
+  /// (report, block for the reassignment, retune `loop`; closed-loop phases
+  /// only, `loop` may be null), then a due delta of the global registry.
+  void tick(double t_s, control::FeedbackLoop* loop);
 
-  /// True when epoch-elapsed time has crossed the next kMetricUpdate
-  /// deadline (always false when the coordinator disabled the plane).
-  bool metrics_due() const;
-
-  /// Ship one incremental registry delta (kMetricUpdate) from the global
-  /// registry. Cheap no-op when nothing moved since the last ship.
-  void ship_metrics();
-
-  /// Ship the flight-recorder dump (kFlightRecord) — called from the agent
-  /// error path so the coordinator's post-mortem has the node's last view.
-  /// Best effort: never throws.
+  /// Ship the flight-recorder dump — the agent error path, so the
+  /// coordinator's post-mortem has the node's last view. Never throws.
   void ship_flight_record(const std::string& reason);
 
-  /// One budget round: report the loop's trailing achieved watts and
-  /// commanded level, block for the coordinator's reassignment, and retune
-  /// the loop to it.
-  void budget_exchange(double t_s, control::FeedbackLoop& loop);
-
-  /// Append a named span to the buffer shipped with finish() — for spans
-  /// whose names are built at runtime (e.g. "phase:<name>"), which the
-  /// literal-only global Tracer ring cannot carry. No-op when the
-  /// coordinator didn't enable tracing.
-  void add_span(std::string name, double begin_s, double end_s);
-
-  /// End of campaign: send the node's convergence verdict and block for
-  /// the coordinator's shutdown.
+  /// End of campaign: ship spans and the verdict, block for shutdown.
   void finish(bool converged, const std::string& detail);
 
-  /// Recover a lost link: dial the coordinator again with exponential
-  /// backoff + jitter, present the rejoin handshake (node name, campaign
-  /// id, `phases_ended` completed phases), and on acceptance re-run clock
-  /// sync and re-take the campaign and epoch on the fresh socket. Returns
-  /// the coordinator-assigned resume phase: the phase to run next (equal to
-  /// the campaign's phase count means every phase is done — go straight to
-  /// finish()). Throws fs2::Error when the coordinator refuses the rejoin
-  /// (authoritative — no retry) or when Options::rejoin_timeout_s of
-  /// attempts all fail.
-  std::uint32_t rejoin(std::uint32_t phases_ended);
+  /// Recover a lost link: redial with exponential backoff + jitter, present
+  /// the rejoin handshake, and re-take clock sync, campaign and epoch on the
+  /// fresh socket. Returns the coordinator-assigned resume phase (the phase
+  /// count means every phase is done — go straight to finish()). Throws
+  /// RejoinRefused on refusal (no retry), fs2::Error once the recovery
+  /// budget is spent.
+  std::uint32_t rejoin();
 
  private:
-  Frame expect(MessageType type, double timeout_s);
+  /// Block until the protocol yields an action, feeding it every frame and
+  /// sending its output; `what` names the wait in the timeout error.
+  AgentProtocol::Action next_action(double timeout_s, const char* what);
+  /// Take the campaign and epoch (after hello or an accepted rejoin).
+  void admit(double timeout_s);
+  void send_output();
 
   Options options_;
   Connection conn_;
-  CampaignMsg campaign_;
-  EpochMsg epoch_;
-  std::chrono::steady_clock::time_point epoch_time_;
+  AgentProtocol protocol_;
   std::unique_ptr<RemoteSink> sink_;
-  std::vector<trace::Span> extra_spans_;
-  trace::MetricDeltaTracker metrics_tracker_;
-  double current_setpoint_w_ = 0.0;
-  double next_budget_s_ = 0.0;
-  double next_metrics_s_ = 0.0;
-  std::uint32_t budget_seq_ = 0;
-  std::uint32_t metrics_seq_ = 0;
 };
 
 }  // namespace fs2::cluster

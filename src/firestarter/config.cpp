@@ -19,6 +19,13 @@ const char* to_string(TargetSystem target) {
   return "?";
 }
 
+std::string agent_sku(const Config& cfg) {
+  std::string sku = to_string(cfg.target);
+  if (cfg.target != TargetSystem::kHost && cfg.sim_freq_mhz > 0.0)
+    sku += strings::format("@%.0fMHz", cfg.sim_freq_mhz);
+  return sku;
+}
+
 TargetSystem parse_sim_target(const std::string& name) {
   if (name == "zen2") return TargetSystem::kSimZen2;
   if (name == "haswell") return TargetSystem::kSimHaswell;

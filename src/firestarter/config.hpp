@@ -166,4 +166,7 @@ std::string usage();
 
 const char* to_string(TargetSystem target);
 
+/// The SKU an agent presents in its hello, e.g. "sim-zen2@1500MHz".
+std::string agent_sku(const Config& cfg);
+
 }  // namespace fs2::firestarter

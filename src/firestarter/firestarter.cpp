@@ -401,9 +401,7 @@ HostPhaseOutput run_host_phase(const Config& cfg, const Target& target,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     metrics_set->sample_all(bus, elapsed);
     if (output.loop && output.loop->due(elapsed)) output.loop->poll(elapsed, *hc.sensor);
-    if (session != nullptr && output.loop && session->budget_due(elapsed))
-      session->budget_exchange(elapsed, *output.loop);
-    if (session != nullptr && session->metrics_due()) session->ship_metrics();
+    if (session != nullptr) session->tick(elapsed, output.loop.get());
     bus.publish(load_ch, elapsed, manager.load_at(elapsed));
     output.elapsed_s = elapsed;
   }
@@ -709,18 +707,12 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
     sim_channels = register_sim_channels(bus, /*with_temp=*/any_target || any_temp,
                                          /*trimmed_aux=*/true, /*summarize_load=*/true);
 
-  // Cluster runs hold the whole fleet at the shared epoch before phase 1.
-  if (session != nullptr) session->wait_for_start();
-
   bool all_converged = true;
   // Thermal state carried between controlled sim phases so back-to-back
   // holds heat continuously instead of each phase snapping back to the
   // idle-settled temperature. (Open-loop phases advance the carry through a
   // first-order settle toward their mean-power steady state.)
   std::optional<double> carry_temp_c;
-  // Fully completed phases — the credential a rejoin presents so the
-  // coordinator can credit them instead of re-running the whole campaign.
-  std::uint32_t phases_done = 0;
   std::size_t phase_index = 0;
   while (phase_index < campaign.size()) {
     const sched::CampaignPhase& spec = campaign.phases()[phase_index];
@@ -729,14 +721,14 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
       const payload::FunctionDef& fn = *res.fn;
       const auto groups = resolve_phase_groups(cfg_, spec, fn);
 
-      // Fleet barrier: phases after the first wait for the coordinator's
-      // phase-go (sent once every node finished the previous phase), so
-      // transitions stay in lockstep even when nodes run at different wall
-      // speeds. The budget setpoint is re-read AFTER the barrier so the
-      // phase starts from the latest apportionment.
+      // Fleet barrier: phase 0 waits for the shared epoch, later phases for
+      // the coordinator's phase-go (sent once every node finished the
+      // previous phase), so transitions stay in lockstep even when nodes run
+      // at different wall speeds. The budget setpoint is re-read AFTER the
+      // barrier so the phase starts from the latest apportionment.
       std::optional<control::Setpoint> active_sp = res.setpoint;
       if (session != nullptr) {
-        session->begin_phase(static_cast<std::uint32_t>(phase_index));
+        session->begin_phase();
         if (budget_mode) active_sp->value = session->current_setpoint_w();
       }
 
@@ -801,13 +793,8 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
         // recorder would silently drop them).
         bus.end_phase(output.elapsed_s);
       }
-      if (session != nullptr)
-        session->add_span("phase:" + spec.name, phase_span_begin_s, trace::now_s());
-      // Open-loop sim phases run in virtual time with no inner wall loop;
-      // the phase edge is their shipping point.
-      if (session != nullptr && session->metrics_due()) session->ship_metrics();
+      if (session != nullptr) session->end_phase(spec.name, phase_span_begin_s);
       ++phase_index;
-      phases_done = static_cast<std::uint32_t>(phase_index);
     } catch (const cluster::WireError& e) {
       if (session == nullptr) throw;
       // Lost the coordinator link mid-campaign: mute the sink while the
@@ -818,13 +805,12 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
                   << e.what() << " — rejoining";
       session->sink().mute(true);
       if (bus.in_phase()) bus.end_phase();
-      const std::uint32_t resume = session->rejoin(phases_done);
+      const std::uint32_t resume = session->rejoin();
       session->sink().rewind_phase(resume);
       session->sink().mute(false);
       trace::FlightRecorder::instance().note_event(
           strings::format("rejoined; resuming at phase %u", resume));
       phase_index = resume;
-      phases_done = resume;
     }
   }
 
@@ -1017,13 +1003,10 @@ int Firestarter::run_agent() {
                    "campaign or the coordinator's budget)";
   cluster::AgentSession::Options options;
   options.endpoint = *cfg_.agent_endpoint;
-  std::string sku = to_string(cfg_.target);
-  if (cfg_.target != TargetSystem::kHost && cfg_.sim_freq_mhz > 0.0)
-    sku += strings::format("@%.0fMHz", cfg_.sim_freq_mhz);
-  options.sku = sku;
-  options.node_name =
-      cfg_.node_name ? *cfg_.node_name
-                     : strings::format("%s-%d", sku.c_str(), static_cast<int>(::getpid()));
+  options.sku = agent_sku(cfg_);
+  options.node_name = cfg_.node_name ? *cfg_.node_name
+                                     : strings::format("%s-%d", options.sku.c_str(),
+                                                       static_cast<int>(::getpid()));
   cluster::AgentSession session(options);
   trace::FlightRecorder::instance().note_event("agent " + options.node_name +
                                                " joined " + options.endpoint);

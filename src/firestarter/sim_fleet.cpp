@@ -19,6 +19,7 @@
 namespace fs2::firestarter {
 
 using Clock = std::chrono::steady_clock;
+using Action = cluster::AgentProtocol::Action;
 
 void raise_fd_limit(std::size_t need) {
   rlimit limit{};
@@ -76,7 +77,7 @@ std::vector<LoopbackSpec> parse_loopback_specs(const std::string& list) {
 // ---- SimAgent ---------------------------------------------------------------
 
 SimAgent::SimAgent(Config cfg, const std::string& endpoint, std::size_t index,
-                   const cluster::FaultPlan* plan, std::optional<RejoinSpec> rejoin)
+                   const cluster::FaultPlan* plan, const SimAgent* predecessor)
     : cfg_(std::move(cfg)),
       node_name_(cfg_.node_name ? *cfg_.node_name
                                 : strings::format("n%zu", index)),
@@ -86,8 +87,8 @@ SimAgent::SimAgent(Config cfg, const std::string& endpoint, std::size_t index,
       // the run is over (grace expired, listener closed) and a long retry
       // would only delay the fleet's own shutdown.
       conn_(cluster::Connection::connect(endpoint,
-                                         /*retry_for_s=*/rejoin ? 5.0 : 30.0)),
-      rejoin_(rejoin) {
+                                         /*retry_for_s=*/predecessor ? 5.0 : 30.0)),
+      protocol_(node_name_, metrics_) {
   if (plan != nullptr) {
     if (plan->link_faults_enabled()) {
       faults_.emplace(plan->link(node_name_));
@@ -95,34 +96,40 @@ SimAgent::SimAgent(Config cfg, const std::string& endpoint, std::size_t index,
     }
     // Cues fire once per run: a rejoined incarnation does not re-arm them
     // (its predecessor already consumed the kill).
-    if (!rejoin_) {
+    if (predecessor == nullptr) {
       if (const cluster::KillCue* kill = plan->kill_for(node_name_))
         kill_cue_ = *kill;
       if (const cluster::StallCue* stall = plan->stall_for(node_name_))
         stall_cue_ = *stall;
     }
   }
-  if (rejoin_) {
-    cluster::RejoinMsg msg;
-    msg.node_name = node_name_;
-    msg.campaign_id = rejoin_->campaign_id;
-    msg.phases_ended = rejoin_->phases_ended;
-    conn_.send(msg.encode());
-    await_rejoin_ack_ = true;
+  if (predecessor != nullptr) {
+    protocol_.rejoin(predecessor->protocol_.campaign().campaign_id,
+                     predecessor->protocol_.phase());
     // Bounded wait: the coordinator may have finished (or given this node
     // up and shut down) between the kill and this respawn, leaving the
     // handshake sitting in a backlog nobody serves.
-    ack_deadline_ = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    phases_ended_ = rejoin_->phases_ended;
-    return;
+    wake_time_ = cluster::to_time_point(cluster::local_clock_s() + cluster::kRejoinAckTimeoutS);
+  } else {
+    protocol_.hello(agent_sku(cfg_));
   }
-  cluster::HelloMsg hello;
-  hello.node_name = node_name_;
-  std::string sku = to_string(cfg_.target);
-  if (cfg_.target != TargetSystem::kHost && cfg_.sim_freq_mhz > 0.0)
-    sku += strings::format("@%.0fMHz", cfg_.sim_freq_mhz);
-  hello.sku = sku;
-  conn_.send(hello.encode());
+  send_output();
+}
+
+std::chrono::steady_clock::time_point SimAgent::deadline() const {
+  const bool awaiting_ack = protocol_.state() == cluster::AgentProtocol::State::kAwaitAck;
+  return wait_ == Wait::kUntil || (wait_ == Wait::kFrame && awaiting_ack)
+             ? wake_time_
+             : Clock::time_point::max();
+}
+
+void SimAgent::send_output() {
+  for (const cluster::Frame& frame : protocol_.take_output()) conn_.send(frame);
+}
+
+void SimAgent::ship_metrics() {
+  protocol_.ship_metrics(cluster::local_clock_s());
+  send_output();
 }
 
 void SimAgent::die(const std::string& why) {
@@ -131,30 +138,28 @@ void SimAgent::die(const std::string& why) {
   // link mid-stream, exactly like a real crash.
   conn_.close();
   killed_ = true;
-  state_ = State::kDone;
   wait_ = Wait::kDone;
 }
 
-bool SimAgent::kill_due() const {
-  if (!kill_cue_ || killed_) return false;
-  if (kill_cue_->phase) return *kill_cue_->phase == phase_index_;
-  if (kill_cue_->t_s) return have_epoch_ && epoch_elapsed_s() >= *kill_cue_->t_s;
-  return false;
+bool SimAgent::maybe_die() {
+  if (killed_ || !kill_cue_ || !kill_cue_->t_s || epoch_elapsed_s() < *kill_cue_->t_s)
+    return false;
+  die(strings::format("kill cue at t=%.1fs", epoch_elapsed_s()));
+  return true;
 }
 
 bool SimAgent::maybe_stall() {
   if (stalled_) return true;
-  if (!stall_cue_ || stall_fired_ || !have_epoch_) return false;
-  if (epoch_elapsed_s() < stall_cue_->t_s) return false;
-  stall_fired_ = true;
-  stalled_ = true;
-  stall_resume_ = wait_;
-  wake_time_ = epoch_time_ + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(
-                                     stall_cue_->t_s + stall_cue_->duration_s));
-  wait_ = Wait::kUntil;
+  if (!stall_cue_ || !protocol_.admitted() || epoch_elapsed_s() < stall_cue_->t_s)
+    return false;
   log::warn() << "[" << node_name_ << "] chaos stall: frozen for "
               << stall_cue_->duration_s << "s";
+  wake_time_ = cluster::to_time_point(protocol_.epoch().t0_agent_s + stall_cue_->t_s +
+                                      stall_cue_->duration_s);
+  stall_cue_.reset();  // fires once
+  stalled_ = true;
+  stall_resume_ = wait_;
+  wait_ = Wait::kUntil;
   return true;
 }
 
@@ -171,16 +176,13 @@ double SimAgent::flush_pending() {
 void SimAgent::fail(const std::string& what) {
   failed_ = true;
   error_ = what;
-  state_ = State::kDone;
   wait_ = Wait::kDone;
   // Best-effort black box: ship the flight record so the coordinator's
   // post-mortem has this node's last view even though the process lives on.
   if (conn_.valid()) {
     try {
-      cluster::FlightRecordMsg record;
-      record.reason = node_name_ + ": " + what;
-      record.dump = trace::FlightRecorder::instance().serialize();
-      conn_.send(record.encode());
+      protocol_.flight_record(node_name_ + ": " + what);
+      send_output();
     } catch (const std::exception&) {
       // The socket is the thing that broke; nothing more to do.
     }
@@ -189,22 +191,7 @@ void SimAgent::fail(const std::string& what) {
 }
 
 double SimAgent::epoch_elapsed_s() const {
-  return std::chrono::duration<double>(Clock::now() - epoch_time_).count();
-}
-
-void SimAgent::maybe_ship_metrics(bool force) {
-  if (campaign_.metrics_interval_s <= 0.0 || !have_epoch_ || !conn_.valid()) return;
-  const double t = epoch_elapsed_s();
-  if (!force && t < next_metrics_s_) return;
-  // Re-arm on the fixed grid so a late ship doesn't drift the cadence.
-  while (next_metrics_s_ <= t) next_metrics_s_ += campaign_.metrics_interval_s;
-  trace::MetricDelta delta = metrics_tracker_.collect();
-  if (delta.empty()) return;
-  cluster::MetricUpdateMsg msg;
-  msg.seq = metrics_seq_++;
-  msg.t_agent_s = t;
-  msg.delta = std::move(delta);
-  conn_.send(msg.encode());
+  return protocol_.epoch_elapsed_s(cluster::local_clock_s());
 }
 
 const payload::PayloadStats& SimAgent::stats_for(const payload::FunctionDef& fn,
@@ -229,12 +216,13 @@ const payload::PayloadStats& SimAgent::stats_for(const payload::FunctionDef& fn,
 }
 
 void SimAgent::prepare_campaign() {
-  std::istringstream in(campaign_.campaign_text);
+  const cluster::CampaignMsg& campaign = protocol_.campaign();
+  std::istringstream in(campaign.campaign_text);
   phases_ = sched::Campaign::parse(in, "(from coordinator)");
   target_ = resolve_target(cfg_);
   system_ = std::make_unique<sim::SimulatedSystem>(target_.sim_config);
 
-  const bool budget_mode = campaign_.has_budget != 0;
+  const bool budget_mode = campaign.has_budget != 0;
   bool any_target = budget_mode;
   bool any_temp = false;
   for (const sched::CampaignPhase& spec : phases_->phases()) any_temp |= spec.measure_temp;
@@ -248,9 +236,9 @@ void SimAgent::prepare_campaign() {
     if (budget_mode) {
       control::Setpoint sp;
       sp.variable = control::ControlVariable::kPower;
-      sp.value = current_setpoint_w_;
-      sp.interval_s = campaign_.ctl_interval_s;
-      sp.band = campaign_.budget_band;
+      sp.value = protocol_.setpoint_w();
+      sp.interval_s = campaign.ctl_interval_s;
+      sp.band = campaign.budget_band;
       sp.validate_duration(spec.duration_s, "campaign phase '" + spec.name + "'");
       phase.setpoint = sp;
     } else if (spec.target_spec) {
@@ -262,96 +250,75 @@ void SimAgent::prepare_campaign() {
     resolved_.push_back(std::move(phase));
   }
 
-  sink_ = std::make_unique<cluster::RemoteSink>(&conn_, epoch_time_);
+  wake_time_ = cluster::to_time_point(protocol_.epoch().t0_agent_s);
+  sink_ = std::make_unique<cluster::RemoteSink>(&conn_, wake_time_);
   bus_.attach(sink_.get());
   channels_ = register_sim_channels(bus_, /*with_temp=*/any_target || any_temp,
                                     /*trimmed_aux=*/true, /*summarize_load=*/true);
-  next_metrics_s_ = campaign_.metrics_interval_s;
-  wake_time_ = epoch_time_;
-  if (rejoin_) {
-    // Resume where the previous incarnation died. The coordinator already
-    // credited the completed phases — they are never re-run. The fresh
-    // sink's phase counter must agree: its first begin bracket has to carry
-    // the coordinator-assigned resume index, not 0.
-    phase_index_ = resume_phase_;
-    phases_ended_ = resume_phase_;
-    sink_->rewind_phase(resume_phase_);
-    if (phase_index_ >= phases_->size()) {
-      send_verdict();  // everything already ran; only the verdict is owed
-      return;
-    }
-    if (phase_index_ == 0) {
-      state_ = State::kWaitStart;  // epoch may be in the past: fires at once
-      wait_ = Wait::kUntil;
-    } else {
-      state_ = State::kAwaitGo;  // the phase-go replay (or release) is coming
-      wait_ = Wait::kFrame;
-    }
-    return;
+  // A rejoined replacement resumes where its predecessor died: the
+  // coordinator already credited the completed phases, which are never
+  // re-run, and the fresh sink's first begin bracket must carry the resume
+  // index, not 0.
+  sink_->rewind_phase(protocol_.phase());
+  if (protocol_.phase() >= phases_->size()) {
+    send_verdict();  // everything already ran; only the verdict is owed
+  } else if (protocol_.state() == cluster::AgentProtocol::State::kAwaitStart) {
+    wait_ = Wait::kUntil;  // the epoch (in the past for a rejoin: fires at once)
+  } else {
+    wait_ = Wait::kFrame;  // the phase-go replay (or release) is coming
   }
-  state_ = State::kWaitStart;
-  wait_ = Wait::kUntil;
 }
 
 void SimAgent::close_wait_span(const char* name) {
-  if (!tracing() || wait_open_s_ <= 0.0) return;
-  spans_.push_back(trace::Span{name, wait_open_s_, trace::now_s()});
+  if (!protocol_.tracing() || wait_open_s_ <= 0.0) return;
+  protocol_.add_span(name, wait_open_s_, trace::now_s());
   wait_open_s_ = 0.0;
 }
 
 void SimAgent::begin_phase() {
-  const sched::CampaignPhase& spec = phases_->phases()[phase_index_];
+  const std::uint32_t phase_index = protocol_.phase();
+  const sched::CampaignPhase& spec = phases_->phases()[phase_index];
   close_wait_span("agent.barrier_wait");
-  if (tracing()) phase_open_s_ = trace::now_s();
+  if (protocol_.tracing()) phase_open_s_ = trace::now_s();
   // The budget setpoint value is re-read AFTER the barrier so the phase
   // starts from the latest apportionment.
-  if (campaign_.has_budget != 0) resolved_[phase_index_].setpoint->value = current_setpoint_w_;
+  if (protocol_.campaign().has_budget != 0)
+    resolved_[phase_index].setpoint->value = protocol_.setpoint_w();
   const TrimDeltas deltas = phase_deltas(cfg_, spec.duration_s);
   // The begin bracket goes on the wire NOW; the phase's virtual-time work
   // waits for advance() so a barrier release reaches the whole fleet
   // before any node starts computing (tight begin spreads at 512 nodes).
   bus_.begin_phase(spec.name, spec.duration_s, deltas.start_s, deltas.stop_s);
-  metrics_.gauge("agent.phase").set(static_cast<double>(phase_index_));
-  next_budget_s_ = campaign_.budget_interval_s;
-  state_ = State::kRunPhase;
+  metrics_.gauge("agent.phase").set(static_cast<double>(phase_index));
   wait_ = Wait::kRun;
   // A phase-cued kill fires right after the begin bracket: the coordinator
   // has counted the node into the phase, then the link goes dark mid-phase.
-  if (kill_cue_ && kill_cue_->phase && *kill_cue_->phase == phase_index_)
-    die(strings::format("kill cue at phase %zu", phase_index_));
+  if (kill_cue_ && kill_cue_->phase && *kill_cue_->phase == phase_index)
+    die(strings::format("kill cue at phase %u", phase_index));
 }
 
 void SimAgent::send_budget_report() {
-  if (tracing()) wait_open_s_ = trace::now_s();
-  next_budget_s_ += campaign_.budget_interval_s;
-  cluster::BudgetReportMsg report;
-  report.seq = budget_seq_++;
-  report.achieved_w = run_->loop().trailing_mean(campaign_.budget_interval_s);
-  report.setpoint_w = run_->loop().setpoint().value;
-  report.level = run_->loop().profile().level();
+  if (protocol_.tracing()) wait_open_s_ = trace::now_s();
+  const auto report = protocol_.report_budget(run_->loop());
+  send_output();
   metrics_.counter("agent.budget_exchanges").add();
   metrics_.gauge("agent.achieved_w").set(report.achieved_w);
   metrics_.gauge("agent.setpoint_w").set(report.setpoint_w);
   metrics_.gauge("agent.level").set(report.level);
   metrics_.histogram("agent.ctl_error_w")
       .record(std::abs(report.achieved_w - report.setpoint_w));
-  conn_.send(report.encode());
-  state_ = State::kAwaitAssign;
   wait_ = Wait::kFrame;
 }
 
 void SimAgent::advance() {
-  if (state_ != State::kRunPhase) return;
-  if (maybe_stall()) return;
-  if (kill_due()) {
-    die(strings::format("kill cue at t=%.1fs", epoch_elapsed_s()));
-    return;
-  }
+  if (wait_ != Wait::kRun) return;
+  if (maybe_stall() || maybe_die()) return;
   try {
-    const sched::CampaignPhase& spec = phases_->phases()[phase_index_];
-    const ResolvedPhase& res = resolved_[phase_index_];
+    const std::uint32_t phase_index = protocol_.phase();
+    const sched::CampaignPhase& spec = phases_->phases()[phase_index];
+    const ResolvedPhase& res = resolved_[phase_index];
     const double campaign_time_s = bus_.phase().time_offset_s;
-    const std::uint64_t seed = cfg_.seed + phase_index_;
+    const std::uint64_t seed = cfg_.seed + phase_index;
 
     if (res.setpoint) {
       if (!run_)
@@ -359,16 +326,11 @@ void SimAgent::advance() {
             *system_, cfg_, stats_for(*res.fn, spec), *res.setpoint, spec.duration_s,
             seed, campaign_time_s, target_.gpu_stress, spec.freq_mhz, spec.threads,
             carry_temp_c_, bus_, channels_);
-      const bool budget = campaign_.has_budget != 0;
       while (!run_->done()) {
         const double t = run_->step();
-        maybe_ship_metrics();
-        if (kill_due()) {
-          die(strings::format("kill cue at t=%.1fs", epoch_elapsed_s()));
-          return;
-        }
-        if (maybe_stall()) return;  // resume this step loop after the window
-        if (budget && t >= next_budget_s_ - 1e-9) {
+        ship_metrics();
+        if (maybe_die() || maybe_stall()) return;  // a stall resumes this loop later
+        if (protocol_.budget_due(t)) {
           send_budget_report();
           return;  // resume from the coordinator's reassignment
         }
@@ -391,7 +353,7 @@ void SimAgent::advance() {
                                 *system_, spec.duration_s, result.mean_power_w,
                                 carry_temp_c_));
     }
-    maybe_ship_metrics();
+    ship_metrics();
     finish_phase();
   } catch (const std::exception& e) {
     fail(e.what());
@@ -400,15 +362,13 @@ void SimAgent::advance() {
 
 void SimAgent::finish_phase() {
   bus_.end_phase();
-  ++phases_ended_;
-  if (tracing()) {
-    spans_.push_back(trace::Span{"phase:" + phases_->phases()[phase_index_].name,
-                                 phase_open_s_, trace::now_s()});
+  if (protocol_.tracing()) {
+    protocol_.add_span("phase:" + phases_->phases()[protocol_.phase()].name,
+                       phase_open_s_, trace::now_s());
   }
-  ++phase_index_;
-  if (phase_index_ < phases_->size()) {
-    if (tracing()) wait_open_s_ = trace::now_s();
-    state_ = State::kAwaitGo;
+  protocol_.end_phase();
+  if (protocol_.phase() < phases_->size()) {
+    if (protocol_.tracing()) wait_open_s_ = trace::now_s();
     wait_ = Wait::kFrame;
     return;
   }
@@ -417,108 +377,49 @@ void SimAgent::finish_phase() {
 
 void SimAgent::send_verdict() {
   bus_.finish();
-  // The final metric delta ships before the verdict so the coordinator's
-  // folded series equal this node's final registry totals.
-  maybe_ship_metrics(/*force=*/true);
-  // Span shipment precedes the verdict (the coordinator's "node done"
-  // signal) so the merged timeline is complete when the run closes.
-  if (tracing()) {
-    cluster::TraceSpansMsg spans;
-    spans.spans = std::move(spans_);
-    conn_.send(spans.encode());
-  }
-  cluster::VerdictMsg verdict;
-  verdict.converged = all_converged_ ? 1 : 0;
-  verdict.detail = strings::format("%zu phases on %s", phases_->size(),
-                                   target_.sim_config.name.c_str());
-  conn_.send(verdict.encode());
-  state_ = State::kAwaitShutdown;
+  protocol_.finish(cluster::local_clock_s(), all_converged_,
+                   strings::format("%zu phases on %s", phases_->size(),
+                                   target_.sim_config.name.c_str()));
+  send_output();
   wait_ = Wait::kFrame;
 }
 
 void SimAgent::handle_frame(const cluster::Frame& frame) {
-  cluster::WireReader reader(frame.payload);
-  switch (frame.type) {
-    case cluster::MessageType::kSyncProbe: {
-      const cluster::SyncProbeMsg probe = cluster::SyncProbeMsg::decode(reader);
-      cluster::SyncReplyMsg reply;
-      reply.seq = probe.seq;
-      reply.t_coord_s = probe.t_coord_s;
-      reply.t_agent_s = cluster::local_clock_s();
-      conn_.send(reply.encode());
+  const bool rejoin_ack = frame.type == cluster::MessageType::kRejoinAck;
+  const Action action = protocol_.on_frame(frame, cluster::local_clock_s());
+  send_output();
+  if (rejoin_ack)
+    log::info() << "[" << node_name_ << "] rejoin accepted "
+                << log::kv("resume_phase", protocol_.phase());
+  switch (action) {
+    case Action::kNone:
       break;
-    }
-    case cluster::MessageType::kCampaign:
-      campaign_ = cluster::CampaignMsg::decode(reader);
-      current_setpoint_w_ = campaign_.initial_setpoint_w;
-      have_campaign_ = true;
-      if (have_campaign_ && have_epoch_) prepare_campaign();
+    case Action::kCampaignReady:
+      prepare_campaign();
       break;
-    case cluster::MessageType::kEpoch: {
-      const cluster::EpochMsg epoch = cluster::EpochMsg::decode(reader);
-      epoch_time_ = cluster::to_time_point(epoch.t0_agent_s);
-      have_epoch_ = true;
-      if (have_campaign_ && have_epoch_) prepare_campaign();
-      break;
-    }
-    case cluster::MessageType::kRejoinAck: {
-      const cluster::RejoinAckMsg ack = cluster::RejoinAckMsg::decode(reader);
-      if (!await_rejoin_ack_)
-        throw cluster::WireError("agent " + node_name_ + ": unsolicited rejoin ack");
-      await_rejoin_ack_ = false;
-      ack_deadline_ = std::chrono::steady_clock::time_point::max();
-      if (ack.accepted == 0)
-        throw cluster::WireError("agent " + node_name_ +
-                                 ": rejoin refused: " + ack.detail);
-      resume_phase_ = ack.resume_phase;
-      log::info() << "[" << node_name_ << "] rejoin accepted "
-                  << log::kv("resume_phase", ack.resume_phase);
-      break;
-    }
-    case cluster::MessageType::kPhaseGo: {
-      const cluster::PhaseGoMsg go = cluster::PhaseGoMsg::decode(reader);
-      if (state_ != State::kAwaitGo || go.phase_index != phase_index_)
-        throw cluster::WireError(strings::format(
-            "agent %s: phase-go for %u while at phase %zu", node_name_.c_str(),
-            go.phase_index, phase_index_));
+    case Action::kOpenPhase:
       begin_phase();
       break;
-    }
-    case cluster::MessageType::kBudgetAssign: {
-      const cluster::BudgetAssignMsg assign = cluster::BudgetAssignMsg::decode(reader);
-      if (state_ != State::kAwaitAssign || assign.seq + 1 != budget_seq_)
-        throw cluster::WireError(
-            strings::format("agent %s: unexpected budget assign seq %u",
-                            node_name_.c_str(), assign.seq));
+    case Action::kRetune:
       close_wait_span("agent.budget_wait");
-      current_setpoint_w_ = assign.setpoint_w;
-      run_->loop().set_target(assign.setpoint_w);
-      state_ = State::kRunPhase;
+      run_->loop().set_target(protocol_.setpoint_w());
       wait_ = Wait::kRun;
       break;
-    }
-    case cluster::MessageType::kShutdown:
-      if (state_ != State::kAwaitShutdown)
-        throw cluster::WireError("agent " + node_name_ +
-                                 ": coordinator shut the run down early");
+    case Action::kShutdown:
       conn_.close();
-      state_ = State::kDone;
       wait_ = Wait::kDone;
       break;
-    default:
-      throw cluster::WireError(std::string("agent ") + node_name_ + ": unexpected " +
-                               cluster::to_string(frame.type));
   }
 }
 
 void SimAgent::on_readable() {
-  if (state_ == State::kDone) return;
+  if (wait_ == Wait::kDone) return;
   if (maybe_stall()) return;  // frozen: stop reading; frames queue in the kernel
   try {
     cluster::Frame frame;
-    // Drain everything available without blocking; each frame may flip the
-    // state machine (including to kDone, which closes the socket).
-    while (state_ != State::kDone && conn_.recv_into(frame, /*timeout_s=*/0.0))
+    // Drain everything available without blocking; each frame may finish
+    // the agent (which closes the socket).
+    while (wait_ != Wait::kDone && conn_.recv_into(frame, /*timeout_s=*/0.0))
       handle_frame(frame);
   } catch (const std::exception& e) {
     fail(e.what());
@@ -532,13 +433,12 @@ void SimAgent::on_time() {
     wait_ = stall_resume_;
     return;
   }
-  if (await_rejoin_ack_ && std::chrono::steady_clock::now() >= ack_deadline_) {
+  if (protocol_.state() == cluster::AgentProtocol::State::kAwaitAck) {
     fail("rejoin handshake timed out (coordinator gone or unresponsive)");
     return;
   }
-  if (state_ != State::kWaitStart) return;
   try {
-    begin_phase();  // phase 0's barrier is the epoch itself
+    if (protocol_.on_time(cluster::local_clock_s()) == Action::kOpenPhase) begin_phase();
   } catch (const std::exception& e) {
     fail(e.what());
   }
@@ -552,6 +452,7 @@ SimFleet::SimFleet(const Config& base, const std::vector<LoopbackSpec>& specs,
   if (plan != nullptr) plan_ = *plan;
   agents_.reserve(specs.size());
   configs_.reserve(specs.size());
+  respawned_.assign(specs.size(), false);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     Config cfg = base;
     cfg.coordinator = false;
@@ -589,12 +490,11 @@ void SimFleet::run() {
     // Chaos-killed agents respawn as rejoining replacements after a
     // deterministic backoff delay (seeded from the plan, not the clock).
     const Clock::time_point now = Clock::now();
-    if (respawn_tries_.size() < agents_.size()) respawn_tries_.resize(agents_.size(), 0);
     for (std::size_t i = 0; i < agents_.size(); ++i) {
       // One respawn per node: the replacement's connect already retries for
       // 30 s, so a second failure means the coordinator is gone for good.
-      if (!agents_[i]->killed() || respawn_tries_[i] > 0) continue;
-      ++respawn_tries_[i];
+      if (!agents_[i]->killed() || respawned_[i]) continue;
+      respawned_[i] = true;
       cluster::Backoff::Options bopts;
       bopts.seed = (plan_ ? plan_->seed : 1) * 0x9E3779B97F4A7C15ull + i;
       cluster::Backoff backoff(bopts);
@@ -602,8 +502,6 @@ void SimFleet::run() {
       rs.index = i;
       rs.due = now + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(backoff.next_s()));
-      rs.spec.campaign_id = agents_[i]->campaign_id();
-      rs.spec.phases_ended = agents_[i]->phases_ended();
       respawns_.push_back(rs);
     }
     for (std::size_t r = 0; r < respawns_.size();) {
@@ -611,16 +509,15 @@ void SimFleet::run() {
         ++r;
         continue;
       }
-      const Respawn rs = respawns_[r];
+      const std::size_t i = respawns_[r].index;
       respawns_.erase(respawns_.begin() + r);
       try {
-        agents_[rs.index] = std::make_unique<SimAgent>(
-            configs_[rs.index], endpoint_, rs.index,
-            plan_ ? &*plan_ : nullptr, rs.spec);
+        agents_[i] = std::make_unique<SimAgent>(configs_[i], endpoint_, i,
+                                                plan_ ? &*plan_ : nullptr, agents_[i].get());
       } catch (const std::exception& e) {
         // Dial failed even after the connect retries: the dead incarnation
         // stays in the slot and the outcome reports the crash.
-        log::warn() << "[fleet] respawn of " << configs_[rs.index].node_name.value_or("?")
+        log::warn() << "[fleet] respawn of " << configs_[i].node_name.value_or("?")
                     << " failed: " << e.what();
       }
     }
@@ -638,35 +535,21 @@ void SimFleet::run() {
     fd_agents.clear();
     bool alive = !respawns_.empty();
     bool runnable = false;
-    bool wake_pending = false;
     Clock::time_point next_wake = Clock::time_point::max();
-    for (const Respawn& r : respawns_) {
-      next_wake = std::min(next_wake, r.due);
-      wake_pending = true;
-    }
+    for (const Respawn& r : respawns_) next_wake = std::min(next_wake, r.due);
     for (std::size_t i = 0; i < agents_.size(); ++i) {
-      switch (agents_[i]->wait()) {
-        case SimAgent::Wait::kDone:
-          continue;
-        case SimAgent::Wait::kFrame:
-          fds.push_back(pollfd{agents_[i]->fd(), POLLIN, 0});
-          fd_agents.push_back(i);
-          if (agents_[i]->frame_deadline() != Clock::time_point::max()) {
-            next_wake = std::min(next_wake, agents_[i]->frame_deadline());
-            wake_pending = true;
-          }
-          break;
-        case SimAgent::Wait::kUntil:
-          next_wake = std::min(next_wake, agents_[i]->wake_time());
-          wake_pending = true;
-          break;
-        case SimAgent::Wait::kRun:
-          runnable = true;
-          break;
-      }
+      const SimAgent::Wait wait = agents_[i]->wait();
+      if (wait == SimAgent::Wait::kDone) continue;
       alive = true;
+      runnable |= wait == SimAgent::Wait::kRun;
+      if (wait == SimAgent::Wait::kFrame) {
+        fds.push_back(pollfd{agents_[i]->fd(), POLLIN, 0});
+        fd_agents.push_back(i);
+      }
+      next_wake = std::min(next_wake, agents_[i]->deadline());
     }
     if (!alive) break;
+    const bool wake_pending = next_wake != Clock::time_point::max();
 
     int timeout_ms = 600000;  // the coordinator's stall guard, mirrored
     if (runnable) {
@@ -703,13 +586,8 @@ void SimFleet::run() {
     // hits the wire before any agent starts its phase compute.
     if (wake_pending) {
       const Clock::time_point wake_now = Clock::now();
-      for (auto& agent : agents_) {
-        if (agent->wait() == SimAgent::Wait::kUntil && wake_now >= agent->wake_time())
-          agent->on_time();
-        else if (agent->wait() == SimAgent::Wait::kFrame &&
-                 wake_now >= agent->frame_deadline())
-          agent->on_time();  // rejoin-ack deadline expired
-      }
+      for (auto& agent : agents_)
+        if (wake_now >= agent->deadline()) agent->on_time();
     }
     if (ready > 0)
       for (std::size_t k = 0; k < fds.size(); ++k)

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/agent_protocol.hpp"
 #include "cluster/fault_injection.hpp"
 #include "cluster/messages.hpp"
 #include "cluster/remote_sink.hpp"
@@ -15,9 +16,7 @@
 #include "payload/compiler.hpp"
 #include "sched/campaign.hpp"
 #include "telemetry/sinks.hpp"
-#include "trace/metric_delta.hpp"
 #include "trace/registry.hpp"
-#include "trace/trace_event.hpp"
 
 namespace fs2::firestarter {
 
@@ -47,11 +46,10 @@ inline constexpr std::size_t kMaxLoopbackNodes = 4096;
 void raise_fd_limit(std::size_t need);
 
 /// One in-process simulated agent driven by the fleet's event loop instead
-/// of a dedicated thread: a cooperative state machine that connects, says
-/// hello, answers sync probes, takes the campaign and epoch, then runs the
-/// campaign's phases in virtual time — yielding back to the loop wherever
-/// the protocol would block (phase-go barriers, budget reassignments, the
-/// shared epoch, shutdown).
+/// of a dedicated thread: a cooperative driver of cluster::AgentProtocol
+/// that yields back to the loop wherever the protocol would block. What it
+/// adds is sim- and chaos-specific: phase compute in virtual time,
+/// kill/stall cues, a private metric registry and wait spans per node.
 class SimAgent {
  public:
   /// What the agent is blocked on.
@@ -62,31 +60,21 @@ class SimAgent {
     kDone,   ///< finished (cleanly or with error())
   };
 
-  /// A respawned agent's credentials: instead of hello it presents kRejoin
-  /// with these and resumes the campaign where its predecessor died.
-  struct RejoinSpec {
-    std::uint64_t campaign_id = 0;
-    std::uint32_t phases_ended = 0;
-  };
-
   /// Connects and sends hello immediately (the coordinator's handshake
-  /// finds every agent already dialed in) — or, when `rejoin` is set, sends
-  /// the rejoin handshake of a crashed agent's replacement. `plan` (may be
-  /// null) arms this agent's link faults; kill/stall cues fire once per run
-  /// and are not re-armed on a rejoined incarnation.
+  /// finds every agent already dialed in) — or, as the replacement of a
+  /// killed `predecessor`, presents its rejoin credentials and resumes the
+  /// campaign where it died. `plan` (may be null) arms this agent's link
+  /// faults; kill/stall cues fire once per run and are not re-armed on a
+  /// rejoined incarnation.
   SimAgent(Config cfg, const std::string& endpoint, std::size_t index,
-           const cluster::FaultPlan* plan = nullptr,
-           std::optional<RejoinSpec> rejoin = std::nullopt);
+           const cluster::FaultPlan* plan = nullptr, const SimAgent* predecessor = nullptr);
 
   Wait wait() const { return wait_; }
   int fd() const { return conn_.fd(); }
-  std::chrono::steady_clock::time_point wake_time() const { return wake_time_; }
-  /// While a kFrame wait has a deadline (the rejoin-ack wait: a coordinator
-  /// that finished or wedged would otherwise strand the replacement
-  /// forever), the time at which the wait gives up; time_point::max()
-  /// otherwise. The fleet folds this into its poll timeout and calls
-  /// on_time() past it.
-  std::chrono::steady_clock::time_point frame_deadline() const { return ack_deadline_; }
+  /// When on_time() is due: the end of a kUntil wait, or the point a
+  /// rejoin-ack wait gives up (a finished or wedged coordinator would strand
+  /// the replacement); time_point::max() otherwise.
+  std::chrono::steady_clock::time_point deadline() const;
   const std::string& name() const { return node_name_; }
   bool failed() const { return failed_; }
   const std::string& error() const { return error_; }
@@ -94,8 +82,6 @@ class SimAgent {
   /// A chaos kill cue fired: the agent dropped its socket without ceremony
   /// and the fleet should spawn a rejoining replacement.
   bool killed() const { return killed_; }
-  std::uint64_t campaign_id() const { return campaign_.campaign_id; }
-  std::uint32_t phases_ended() const { return phases_ended_; }
 
   /// Write any delay-held frames that have come due; returns seconds until
   /// the next held frame (0 = none pending). The fleet calls this every
@@ -110,7 +96,8 @@ class SimAgent {
   /// (keeping begin-bracket spreads tight).
   void on_readable();
 
-  /// The epoch arrived: open phase 0.
+  /// deadline() passed: open phase 0 at the epoch, end a stall window, or
+  /// give up on a rejoin ack.
   void on_time();
 
   /// Run the current phase until it blocks (budget exchange pending) or
@@ -118,16 +105,6 @@ class SimAgent {
   void advance();
 
  private:
-  enum class State {
-    kHandshake,
-    kWaitStart,
-    kRunPhase,
-    kAwaitAssign,
-    kAwaitGo,
-    kAwaitShutdown,
-    kDone,
-  };
-
   struct ResolvedPhase {
     const payload::FunctionDef* fn = nullptr;
     sched::ProfilePtr profile;
@@ -135,6 +112,7 @@ class SimAgent {
   };
 
   void handle_frame(const cluster::Frame& frame);
+  void send_output();
   void prepare_campaign();
   void begin_phase();
   void finish_phase();
@@ -146,19 +124,15 @@ class SimAgent {
   /// crash would) and mark this incarnation dead so the fleet respawns a
   /// rejoining replacement.
   void die(const std::string& why);
-  /// True when the kill cue is due at the current point (phase begin or
-  /// epoch-elapsed time).
-  bool kill_due() const;
+  /// Fire a due time-cued kill (phase cues fire in begin_phase()); true
+  /// when the agent just died.
+  bool maybe_die();
   /// Arm the stall window if its cue time has passed: the agent stops
   /// reading and writing (socket stays open) until the window ends.
   bool maybe_stall();
-  /// Ship one kMetricUpdate delta from this agent's PRIVATE registry when
-  /// the wall-clock cadence is due (`force` flushes regardless — the final
-  /// delta before the verdict). Hundreds of loopback agents share the
-  /// process, so the global registry cannot carry per-node series.
-  void maybe_ship_metrics(bool force = false);
+  /// Ship a due kMetricUpdate delta of the agent's private registry.
+  void ship_metrics();
   double epoch_elapsed_s() const;
-  bool tracing() const { return campaign_.trace_enabled != 0; }
   /// Close the open barrier/budget wait span (no-op when none is open).
   void close_wait_span(const char* name);
   /// Analyzed stats for the phase's workload, cached by (function, groups,
@@ -170,10 +144,15 @@ class SimAgent {
   Config cfg_;
   std::string node_name_;
   cluster::Connection conn_;
-  State state_ = State::kHandshake;
   Wait wait_ = Wait::kFrame;
   bool failed_ = false;
   std::string error_;
+
+  // Live metrics plane: a per-agent registry (the process-global one is
+  // shared by the whole loopback fleet and the coordinator), declared
+  // before the protocol whose delta tracker reads it.
+  trace::Registry metrics_;
+  cluster::AgentProtocol protocol_;
 
   // Chaos plumbing. The LinkFaults injector must outlive the connection
   // that points at it, so the agent owns it by value.
@@ -181,26 +160,11 @@ class SimAgent {
   std::optional<cluster::KillCue> kill_cue_;
   std::optional<cluster::StallCue> stall_cue_;
   bool killed_ = false;
-  bool stall_fired_ = false;
   bool stalled_ = false;
   Wait stall_resume_ = Wait::kRun;  ///< wait to restore when the stall ends
-  std::uint32_t phases_ended_ = 0;
 
-  // Rejoin mode (replacement incarnation of a killed agent).
-  std::optional<RejoinSpec> rejoin_;
-  bool await_rejoin_ack_ = false;
-  std::uint32_t resume_phase_ = 0;
-  /// Deadline on the rejoin-ack wait; max() once the ack (or refusal) is in.
-  std::chrono::steady_clock::time_point ack_deadline_ =
-      std::chrono::steady_clock::time_point::max();
-
-  // Handshake results.
-  bool have_campaign_ = false;
-  bool have_epoch_ = false;
-  cluster::CampaignMsg campaign_;
-  std::chrono::steady_clock::time_point epoch_time_;
-  /// What a Wait::kUntil is waiting for: the shared epoch, or the end of a
-  /// chaos stall window.
+  /// What deadline() reports: the shared epoch, the end of a chaos stall
+  /// window, or when a replacement gives up on its rejoin ack.
   std::chrono::steady_clock::time_point wake_time_;
 
   // Campaign state (valid after prepare_campaign()).
@@ -214,27 +178,14 @@ class SimAgent {
   std::map<std::string, payload::PayloadStats> stats_cache_;
 
   // Phase-run state.
-  std::size_t phase_index_ = 0;
   std::unique_ptr<ControlledSimPhaseRun> run_;
   std::optional<double> carry_temp_c_;
-  double current_setpoint_w_ = 0.0;
-  double next_budget_s_ = 0.0;
-  std::uint32_t budget_seq_ = 0;
   bool all_converged_ = true;
 
-  // Live metrics plane: a per-agent registry (the process-global one is
-  // shared by the whole loopback fleet and the coordinator) plus the delta
-  // tracker that turns it into incremental kMetricUpdate frames.
-  trace::Registry metrics_;
-  trace::MetricDeltaTracker metrics_tracker_{metrics_};
-  double next_metrics_s_ = 0.0;
-  std::uint32_t metrics_seq_ = 0;
-
-  // Observability (campaign_.trace_enabled): an EXPLICIT per-agent span
-  // buffer. Hundreds of loopback agents share one reactor thread, so the
-  // global thread-local tracer cannot attribute spans per node; phase and
-  // wait boundaries are cold, so owned-string spans are fine here.
-  std::vector<trace::Span> spans_;
+  // Observability (tracing campaigns): phase and wait boundaries. The spans
+  // themselves go to the protocol's per-agent buffer — hundreds of loopback
+  // agents share one reactor thread, so the global thread-local tracer
+  // cannot attribute spans per node.
   double phase_open_s_ = 0.0;  ///< begin of the running phase span
   double wait_open_s_ = 0.0;   ///< begin of the open barrier/budget wait (0 = none)
 };
@@ -274,7 +225,6 @@ class SimFleet {
   struct Respawn {
     std::size_t index = 0;
     std::chrono::steady_clock::time_point due;
-    SimAgent::RejoinSpec spec;
   };
 
   std::string endpoint_;
@@ -282,7 +232,7 @@ class SimFleet {
   std::vector<Config> configs_;  ///< per-agent configs, kept for respawns
   std::vector<std::unique_ptr<SimAgent>> agents_;
   std::vector<Respawn> respawns_;
-  std::vector<std::uint32_t> respawn_tries_;  ///< one respawn per node, ever
+  std::vector<bool> respawned_;  ///< one respawn per node, ever
   std::vector<Outcome> outcomes_;
 };
 

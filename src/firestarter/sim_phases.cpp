@@ -200,12 +200,10 @@ ControlledSimPhase run_sim_controlled_phase(
     const double t = run.step();
     // Cluster budget round: report the trailing achieved watts and retune
     // the loop to the coordinator's reapportioned share. Virtual time
-    // pauses for the round trip, so the exchange is deterministic.
-    if (session != nullptr && session->budget_due(t))
-      session->budget_exchange(t, run.loop());
-    // Live metrics ride the same loop at wall-clock cadence — the plane
-    // stays fresh even when virtual time outpaces real time.
-    if (session != nullptr && session->metrics_due()) session->ship_metrics();
+    // pauses for the round trip, so the exchange is deterministic. Live
+    // metrics ride the same loop at wall-clock cadence — the plane stays
+    // fresh even when virtual time outpaces real time.
+    if (session != nullptr) session->tick(t, &run.loop());
   }
   ControlledSimPhase phase;
   phase.point = run.point();

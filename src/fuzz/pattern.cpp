@@ -18,7 +18,7 @@ PatternSpec PatternSpec::parse(const std::string& text) {
   spec.groups = payload::InstructionGroups::parse(groups_text);
   if (bar == std::string::npos) return spec;
 
-  const std::string_view rest = strings::trim(text.substr(bar + 1));
+  const std::string rest(strings::trim(text.substr(bar + 1)));
   if (!strings::starts_with(rest, "u="))
     throw ConfigError("pattern spec '" + text + "': expected '|u=N' after the groups");
   const std::uint64_t u =

@@ -62,7 +62,9 @@ TEST(Histogram, BucketsAreMonotonicAndClampAtEdges) {
   for (double v : {1e-9, 3.7e-6, 0.25, 0.74, 0.76, 1.0, 512.0, 1.5e9}) {
     const std::size_t b = trace::Histogram::bucket_index(v);
     EXPECT_LE(v, trace::Histogram::bucket_upper(b)) << v;
-    if (b > 0) EXPECT_GE(v, trace::Histogram::bucket_upper(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GE(v, trace::Histogram::bucket_upper(b - 1)) << v;
+    }
   }
 }
 

@@ -122,7 +122,9 @@ TEST(Registry, CounterAndGaugeCreateOrGet) {
   // reset() zeroes without unregistering (hot paths hold references).
   reg.reset();
   for (const MetricSnapshot& m : reg.snapshot())
-    if (m.name == "test.reg.counter") EXPECT_DOUBLE_EQ(m.value, 0.0);
+    if (m.name == "test.reg.counter") {
+      EXPECT_DOUBLE_EQ(m.value, 0.0);
+    }
   c.add();  // the cached reference must still be live
 }
 
