@@ -124,13 +124,12 @@ std::uint32_t AgentSession::rejoin() {
   for (;;) {
     try {
       // conn_ is a member, so its address — which the RemoteSink holds —
-      // survives the redial; the sink keeps streaming on the new socket
-      // with its channel registrations intact (the coordinator kept the
-      // node's registration state across the outage).
+      // survives the redial and the sink keeps streaming on the new socket.
       conn_ = Connection::connect(options_.endpoint, /*retry_for_s=*/1.0);
       protocol_.rejoin(campaign().campaign_id, protocol_.phase());
       send_output();
       admit(kRejoinAckTimeoutS);
+      sink_->announce_channels();
       log::info() << "agent: rejoined cluster " << log::kv("node", options_.node_name)
                   << ' ' << log::kv("resume_phase", protocol_.phase()) << ' '
                   << log::kv("attempts", backoff.attempts() + 1);

@@ -67,8 +67,9 @@ class AgentSession {
   void finish(bool converged, const std::string& detail);
 
   /// Recover a lost link: redial with exponential backoff + jitter, present
-  /// the rejoin handshake, and re-take clock sync, campaign and epoch on the
-  /// fresh socket. Returns the coordinator-assigned resume phase (the phase
+  /// the rejoin handshake, re-take clock sync, campaign and epoch on the
+  /// fresh socket, and re-announce the sink's channels (call it unmuted).
+  /// Returns the coordinator-assigned resume phase (the phase
   /// count means every phase is done — go straight to finish()). Throws
   /// RejoinRefused on refusal (no retry), fs2::Error once the recovery
   /// budget is spent.

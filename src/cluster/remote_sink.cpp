@@ -51,7 +51,14 @@ void RemoteSink::on_channel(telemetry::ChannelId id, const telemetry::ChannelInf
   msg.unit = info.unit;
   msg.trim_phase = info.trim == telemetry::TrimMode::kPhase ? 1 : 0;
   msg.summarize = info.summarize ? 1 : 0;
+  batches_[id].registration = msg;
   if (!muted_) conn_->send(msg.encode());
+}
+
+void RemoteSink::announce_channels() {
+  if (muted_) return;
+  for (const Batch& batch : batches_)
+    if (batch.registration) conn_->send(batch.registration->encode());
 }
 
 void RemoteSink::on_phase_begin(const telemetry::PhaseInfo& phase) {

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <chrono>
+#include <optional>
 #include <vector>
 
+#include "cluster/messages.hpp"
 #include "cluster/transport.hpp"
 #include "telemetry/sample_sink.hpp"
 #include "telemetry/sinks.hpp"
@@ -74,6 +76,12 @@ class RemoteSink : public telemetry::SampleSink {
   /// phase.
   void mute(bool muted) { muted_ = muted; }
 
+  /// Re-send every channel registration on the (fresh) link: the one a
+  /// rejoin replaced may have dropped before the originals reached the
+  /// coordinator, which would then refuse the node's samples. The
+  /// coordinator accepts repeats.
+  void announce_channels();
+
   /// Reset the phase counter so the next on_phase_begin is stamped
   /// `next_phase_index` — after a rejoin, the re-run of the interrupted
   /// phase must carry the coordinator-assigned resume index, not the
@@ -98,6 +106,7 @@ class RemoteSink : public telemetry::SampleSink {
   double epoch_elapsed_s() const;
 
   struct Batch {
+    std::optional<ChannelMsg> registration;  ///< set once the channel is announced
     std::vector<telemetry::Sample> samples;
     std::size_t threshold = kBatchSamples;
     bool ships_samples = false;

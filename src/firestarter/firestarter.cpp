@@ -59,33 +59,6 @@ namespace {
 
 constexpr const char* kVersion = "fs2 2.0.0 (FIRESTARTER 2 reproduction)";
 
-const payload::FunctionDef& resolve_function(const Config& cfg, const Target& target) {
-  if (cfg.function_id) return payload::find_function(*cfg.function_id);
-  if (cfg.function_name) return payload::find_function(*cfg.function_name);
-  return payload::select_function(target.cpu);
-}
-
-payload::InstructionGroups resolve_groups(const Config& cfg, const payload::FunctionDef& fn) {
-  return payload::InstructionGroups::parse(
-      cfg.instruction_groups ? *cfg.instruction_groups : fn.default_groups);
-}
-
-/// Per-phase workload resolution: a campaign phase's groups=/unroll= keys
-/// outrank the CLI flags, which outrank the function's defaults.
-payload::InstructionGroups resolve_phase_groups(const Config& cfg,
-                                                const sched::CampaignPhase& spec,
-                                                const payload::FunctionDef& fn) {
-  if (spec.groups) return payload::InstructionGroups::parse(*spec.groups);
-  return resolve_groups(cfg, fn);
-}
-
-payload::CompileOptions compile_options(const Config& cfg) {
-  payload::CompileOptions options;
-  if (cfg.line_count) options.unroll = *cfg.line_count;
-  options.dump_registers = cfg.dump_registers;
-  return options;
-}
-
 /// The run's load schedule: --load-profile spec, or the classic --load duty
 /// cycle as a constant profile.
 sched::ProfilePtr resolve_profile(const Config& cfg) {
@@ -341,18 +314,18 @@ struct HostPhaseOutput {
 /// feedback loop when `setpoint` is set — and publish every metric sample,
 /// controller tick, and achieved load level on the bus (the caller's
 /// begin_phase/end_phase bracket attributes them to the phase).
-HostPhaseOutput run_host_phase(const Config& cfg, const Target& target,
-                               const payload::FunctionDef& fn,
-                               const payload::InstructionGroups& groups,
-                               sched::ProfilePtr profile, const control::Setpoint* setpoint,
+HostPhaseOutput run_host_phase(const Config& cfg, const Target& target, const PhasePlan& plan,
+                               const control::Setpoint* setpoint,
                                std::optional<int> threads_override, double duration_s,
                                telemetry::TelemetryBus& bus,
                                gpu::DgemmStressor* gpu_stress,
                                cluster::AgentSession* session = nullptr) {
+  const payload::FunctionDef& fn = *plan.fn;
   if (!target.cpu.features.covers(fn.mix.required))
     throw UnsupportedError("host CPU lacks features for " + fn.name + " (needs " +
                            fn.mix.required.to_string() + ")");
-  auto payload = payload::compile_payload(fn.mix, groups, target.caches, compile_options(cfg));
+  auto payload = payload::compile_payload(fn.mix, plan.groups, target.caches, plan.options);
+  sched::ProfilePtr profile = plan.profile;
 
   HostPhaseOutput output;
   HostControl hc;
@@ -496,12 +469,12 @@ int Firestarter::list_metrics() {
 
 int Firestarter::run_stress_simulated() {
   const Target target = resolve_target(cfg_);
-  const payload::FunctionDef& fn = resolve_function(cfg_, target);
-  const auto groups = resolve_groups(cfg_, fn);
-  const auto stats = payload::analyze_payload(fn.mix, groups, target.caches,
-                                              compile_options(cfg_));
-
-  sim::SimulatedSystem system(target.sim_config);
+  PhasePlan plan;
+  plan.fn = &resolve_function(cfg_, target);
+  plan.groups = resolve_groups(cfg_, *plan.fn);
+  plan.options = compile_options(cfg_);
+  const auto stats = payload::analyze_payload(plan.fn->mix, plan.groups, target.caches,
+                                              plan.options);
   const double duration = cfg_.timeout_s > 0 ? cfg_.timeout_s : 240.0;
 
   telemetry::TelemetryBus bus;
@@ -509,33 +482,31 @@ int Firestarter::run_stress_simulated() {
                  " without --target (no controller ticks to log)");
 
   out_ << "target: " << target.sim_config.name << "\n"
-       << "function: " << fn.name << "  M=" << groups.to_string()
+       << "function: " << plan.fn->name << "  M=" << plan.groups.to_string()
        << "  u=" << stats.unroll << " (" << stats.loop_bytes << " B loop)\n";
 
   if (cfg_.target_spec) {
-    // Closed-loop run against the virtual-time plant.
+    // Closed-loop run against the virtual-time plant: a one-phase campaign.
     if (cfg_.load_profile)
       log::warn() << "--load-profile is ignored under --target (the controller owns "
                      "the duty cycle)";
-    const control::Setpoint sp = control::Setpoint::parse(*cfg_.target_spec);
+    plan.setpoint = control::Setpoint::parse(*cfg_.target_spec);
+    const control::Setpoint& sp = *plan.setpoint;
     out_ << "control: " << sp.describe() << "\n";
-    const SimChannels ch = register_sim_channels(bus, /*with_temp=*/true,
-                                                 /*trimmed_aux=*/true,
-                                                 /*summarize_load=*/true);
+    SimPhaseStepper stepper(cfg_, target, bus, /*with_temp=*/true);
+    sched::CampaignPhase spec;
+    spec.duration_s = duration;
     const TrimDeltas deltas = phase_deltas(cfg_, duration);
     bus.begin_phase("", duration, deltas.start_s, deltas.stop_s);
-    const ControlledSimPhase phase =
-        run_sim_controlled_phase(system, cfg_, stats, sp, duration, cfg_.seed,
-                                 /*warm_start_s=*/0.0, target.gpu_stress,
-                                 std::nullopt, std::nullopt, std::nullopt, bus, ch);
+    stepper.begin(spec, plan, cfg_.seed);
+    while (!stepper.done()) stepper.step();
     bus.finish();
-    system.set_point(phase.point);
-    const bool converged = report_convergence(*phase.loop, duration, "controller");
-    const double window = convergence_window_s(*phase.loop, duration);
+    const bool converged = stepper.end("controller");
+    const double window = convergence_window_s(*stepper.loop(), duration);
     out_ << strings::format(
         "closed loop: %.1f %s achieved (setpoint %g), level %.0f %%, %s\n",
-        phase.loop->trailing_mean(window), control::unit_of(sp.variable), sp.value,
-        phase.profile->level() * 100.0, converged ? "converged" : "NOT converged");
+        stepper.loop()->trailing_mean(window), control::unit_of(sp.variable), sp.value,
+        stepper.loop()->profile().level() * 100.0, converged ? "converged" : "NOT converged");
 
     if (cfg_.measurement) metrics::print_csv(out_, sinks.summary.rows());
     sinks.report_trace(cfg_);
@@ -552,11 +523,11 @@ int Firestarter::run_stress_simulated() {
                                                /*trimmed_aux=*/false,
                                                /*summarize_load=*/!profile->constant());
   bus.begin_phase("", duration, cfg_.start_delta_s, cfg_.stop_delta_s);
-  const SimPhaseResult result = run_sim_phase(system, cfg_, stats, *profile, duration,
-                                              cfg_.seed, /*warm_start_s=*/0.0,
-                                              target.gpu_stress, bus, ch);
+  const sim::SimulatedSystem system(target.sim_config);
+  const SimPhaseResult result =
+      run_sim_phase(system, cfg_, run_conditions(cfg_, target.gpu_stress), stats, *profile,
+                    duration, cfg_.seed, /*warm_start_s=*/0.0, bus, ch);
   bus.finish();
-  system.set_point(result.point);
 
   if (!profile->constant()) out_ << "load profile: " << profile->describe() << "\n";
   const sim::WorkloadPoint& point = result.point;
@@ -589,85 +560,38 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
                    "coordinator's apportioned power share (phase profile=/target= "
                    "keys are overridden)";
 
-  // Resolve every phase up front — functions (typos, host feature coverage),
-  // profiles (including trace-file reads), and setpoints — so a campaign
-  // fails before phase 1 starts stressing, never hours in. The cached
-  // profiles also mean trace CSVs are read once, not re-opened per phase.
-  struct ResolvedPhase {
-    const payload::FunctionDef* fn;
-    sched::ProfilePtr profile;
-    std::optional<control::Setpoint> setpoint;
-  };
-  std::vector<ResolvedPhase> resolved;
-  resolved.reserve(campaign.size());
-  std::set<control::ControlVariable> probed;  // one sensor probe per variable
-  for (const sched::CampaignPhase& spec : campaign.phases()) {
-    const payload::FunctionDef& fn = spec.function ? payload::find_function(*spec.function)
-                                                   : resolve_function(cfg_, target);
-    if (!target.simulated && !target.cpu.features.covers(fn.mix.required))
-      throw UnsupportedError("campaign phase '" + spec.name +
-                             "': host CPU lacks features for " + fn.name + " (needs " +
-                             fn.mix.required.to_string() + ")");
-    if (!target.simulated && spec.freq_mhz)
-      log::warn() << "campaign phase '" << spec.name
-                  << "': freq= only applies to --simulate targets (ignored on host)";
-    if (!target.simulated && spec.measure_temp)
-      log::warn() << "campaign phase '" << spec.name
-                  << "': measure=temp only applies to --simulate targets (host "
-                     "temperature comes from coretemp under target=temp)";
-    ResolvedPhase phase{&fn,
-                        sched::parse_profile(spec.profile_spec, cfg_.load, cfg_.period_s),
-                        std::nullopt};
-    if (budget_mode) {
-      // The coordinator owns every phase's duty cycle: regulate this
-      // node's apportioned power share. The setpoint VALUE is re-read at
-      // each phase start (assignments move it); resolve only validates
-      // feasibility.
-      if (spec.profile_explicit || spec.target_spec)
+  std::optional<BudgetShare> budget;
+  if (budget_mode)
+    budget = BudgetShare{session->current_setpoint_w(), session->campaign().ctl_interval_s,
+                         session->campaign().budget_band};
+  const std::vector<PhasePlan> plan = plan_campaign(cfg_, target, campaign, budget);
+  if (!target.simulated) {
+    // Host checks before phase 1 starts stressing: feature coverage, keys
+    // only the simulator honors, and one sensor probe per regulated
+    // variable (plugin init/fini can have side effects worth not repeating).
+    std::set<control::ControlVariable> probed;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const sched::CampaignPhase& spec = campaign.phases()[i];
+      const payload::FunctionDef& fn = *plan[i].fn;
+      if (!target.cpu.features.covers(fn.mix.required))
+        throw UnsupportedError("campaign phase '" + spec.name +
+                               "': host CPU lacks features for " + fn.name + " (needs " +
+                               fn.mix.required.to_string() + ")");
+      if (spec.freq_mhz)
         log::warn() << "campaign phase '" << spec.name
-                    << "': profile=/target= overridden by the cluster power budget";
-      control::Setpoint sp;
-      sp.variable = control::ControlVariable::kPower;
-      sp.value = session->current_setpoint_w();
-      sp.interval_s = session->campaign().ctl_interval_s;
-      sp.band = session->campaign().budget_band;
-      sp.validate_duration(spec.duration_s, "campaign phase '" + spec.name + "'");
-      phase.setpoint = sp;
-      if (!target.simulated && probed.insert(sp.variable).second) {
-        try {
-          make_host_control(cfg_, sp);
-        } catch (const Error& e) {
-          throw UnsupportedError("campaign phase '" + spec.name + "': " + e.what());
-        }
-      }
-      resolved.push_back(std::move(phase));
-      continue;
-    }
-    if (spec.target_spec) {
-      if (spec.profile_explicit)
+                    << "': freq= only applies to --simulate targets (ignored on host)";
+      if (spec.measure_temp)
         log::warn() << "campaign phase '" << spec.name
-                    << "': profile= is ignored under target= (the controller owns "
-                       "the duty cycle)";
-      try {
-        phase.setpoint = control::Setpoint::parse(*spec.target_spec);
-      } catch (const Error& e) {
-        throw ConfigError("campaign phase '" + spec.name + "': " + e.what());
-      }
-      phase.setpoint->validate_duration(spec.duration_s,
-                                        "campaign phase '" + spec.name + "'");
-      // Probe sensor availability now, not when the phase starts: a host
-      // campaign with a power/temp target and no matching sensor must fail
-      // before phase 1 begins stressing, never hours in. Once per variable —
-      // plugin init/fini can have side effects worth not repeating.
-      if (!target.simulated && probed.insert(phase.setpoint->variable).second) {
+                    << "': measure=temp only applies to --simulate targets (host "
+                       "temperature comes from coretemp under target=temp)";
+      if (plan[i].setpoint && probed.insert(plan[i].setpoint->variable).second) {
         try {
-          make_host_control(cfg_, *phase.setpoint);
+          make_host_control(cfg_, *plan[i].setpoint);
         } catch (const Error& e) {
           throw UnsupportedError("campaign phase '" + spec.name + "': " + e.what());
         }
       }
     }
-    resolved.push_back(std::move(phase));
   }
 
   out_ << "campaign: " << campaign.size() << " phases, "
@@ -687,9 +611,7 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
   }
 
   bool any_target = false;
-  for (const ResolvedPhase& phase : resolved) any_target |= phase.setpoint.has_value();
-  bool any_temp = false;
-  for (const sched::CampaignPhase& spec : campaign.phases()) any_temp |= spec.measure_temp;
+  for (const PhasePlan& phase : plan) any_target |= phase.setpoint.has_value();
   if (cfg_.require_convergence && !any_target)
     log::warn() << "--require-convergence is ignored: no campaign phase has a "
                    "target= setpoint";
@@ -701,92 +623,57 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
                  ": no campaign phase has a target= setpoint");
   if (session != nullptr) bus.attach(&session->sink());
 
-  sim::SimulatedSystem system(target.sim_config);
-  SimChannels sim_channels;
+  std::optional<SimPhaseStepper> stepper;
   if (target.simulated)
-    sim_channels = register_sim_channels(bus, /*with_temp=*/any_target || any_temp,
-                                         /*trimmed_aux=*/true, /*summarize_load=*/true);
+    stepper.emplace(cfg_, target, bus, SimPhaseStepper::wants_temp(campaign, plan));
 
   bool all_converged = true;
-  // Thermal state carried between controlled sim phases so back-to-back
-  // holds heat continuously instead of each phase snapping back to the
-  // idle-settled temperature. (Open-loop phases advance the carry through a
-  // first-order settle toward their mean-power steady state.)
-  std::optional<double> carry_temp_c;
   std::size_t phase_index = 0;
   while (phase_index < campaign.size()) {
     const sched::CampaignPhase& spec = campaign.phases()[phase_index];
-    const ResolvedPhase& res = resolved[phase_index];
+    const PhasePlan& phase = plan[phase_index];
     try {
-      const payload::FunctionDef& fn = *res.fn;
-      const auto groups = resolve_phase_groups(cfg_, spec, fn);
-
       // Fleet barrier: phase 0 waits for the shared epoch, later phases for
       // the coordinator's phase-go (sent once every node finished the
       // previous phase), so transitions stay in lockstep even when nodes run
       // at different wall speeds. The budget setpoint is re-read AFTER the
       // barrier so the phase starts from the latest apportionment.
-      std::optional<control::Setpoint> active_sp = res.setpoint;
+      std::optional<control::Setpoint> active_sp = phase.setpoint;
       if (session != nullptr) {
         session->begin_phase();
         if (budget_mode) active_sp->value = session->current_setpoint_w();
       }
 
       out_ << strings::format("phase %zu '%s': %s for %.0f s (%s)\n", phase_index + 1,
-                              spec.name.c_str(), fn.name.c_str(), spec.duration_s,
+                              spec.name.c_str(), phase.fn->name.c_str(), spec.duration_s,
                               active_sp ? active_sp->describe().c_str()
-                                        : res.profile->describe().c_str());
+                                        : phase.profile->describe().c_str());
 
       const TrimDeltas deltas = phase_deltas(cfg_, spec.duration_s);
       // Fleet trace: bracket the phase in local wall time (sim phases run in
       // virtual time, but their wall extent is what aligns across nodes).
       const double phase_span_begin_s = trace::now_s();
       bus.begin_phase(spec.name, spec.duration_s, deltas.start_s, deltas.stop_s);
-      // Campaign time of this phase's start — also the virtual preheat the
-      // simulator's thermal/leakage models have accumulated.
-      const double campaign_time_s = bus.phase().time_offset_s;
+      const std::string label = "phase '" + spec.name + "'";
 
-      if (target.simulated) {
-        payload::CompileOptions options = compile_options(cfg_);
-        if (spec.unroll) options.unroll = *spec.unroll;
-        const auto stats = payload::analyze_payload(fn.mix, groups, target.caches, options);
-        if (active_sp) {
-          const ControlledSimPhase phase = run_sim_controlled_phase(
-              system, cfg_, stats, *active_sp, spec.duration_s, cfg_.seed + phase_index,
-              campaign_time_s, target.gpu_stress, spec.freq_mhz, spec.threads,
-              carry_temp_c, bus, sim_channels, session);
-          carry_temp_c = phase.final_temp_c;
-          all_converged &=
-              report_convergence(*phase.loop, spec.duration_s, "phase '" + spec.name + "'");
-        } else {
-          Config phase_cfg = cfg_;
-          if (spec.freq_mhz) phase_cfg.sim_freq_mhz = *spec.freq_mhz;
-          if (spec.threads) phase_cfg.threads = *spec.threads;
-          const SimPhaseResult result =
-              run_sim_phase(system, phase_cfg, stats, *res.profile, spec.duration_s,
-                            cfg_.seed + phase_index, campaign_time_s, target.gpu_stress,
-                            bus, sim_channels, carry_temp_c);
-          // Advance the thermal carry through this open-loop phase too — the
-          // exact integrated temperature when the phase published the temp
-          // channel, otherwise a first-order settle toward the phase's
-          // mean-power steady state — so a later temp-target phase doesn't
-          // inherit a stale (or idle-cold) package after e.g. 300 s of load.
-          if (result.final_temp_c) {
-            carry_temp_c = result.final_temp_c;
-          } else if (result.samples > 0) {
-            carry_temp_c = advance_thermal_carry(system, spec.duration_s,
-                                                 result.mean_power_w, carry_temp_c);
-          }
+      if (stepper) {
+        stepper->begin(spec, phase, cfg_.seed + phase_index,
+                       active_sp ? std::optional<double>(active_sp->value) : std::nullopt);
+        while (!stepper->done()) {
+          const double t = stepper->step();
+          // Cluster budget round and live metrics between controller ticks;
+          // virtual time pauses for the round trip, so the exchange is
+          // deterministic.
+          if (session != nullptr && stepper->loop() != nullptr)
+            session->tick(t, stepper->loop());
         }
+        all_converged &= stepper->end(label);
         bus.end_phase();
       } else {
-        const HostPhaseOutput output = run_host_phase(
-            cfg_, target, fn, groups, res.profile,
-            active_sp ? &*active_sp : nullptr, spec.threads, spec.duration_s, bus,
-            gpu_stress.get(), session);
-        if (output.loop)
-          all_converged &= report_convergence(*output.loop, spec.duration_s,
-                                              "phase '" + spec.name + "'");
+        const HostPhaseOutput output =
+            run_host_phase(cfg_, target, phase, active_sp ? &*active_sp : nullptr,
+                           spec.threads, spec.duration_s, bus, gpu_stress.get(), session);
+        if (output.loop) all_converged &= report_convergence(*output.loop, spec.duration_s, label);
         // Advance by the *actual* phase length: the 50 ms sampling loop
         // overruns the nominal duration slightly, and a nominal offset would
         // make the next phase's first timestamps non-monotonic (the trace
@@ -805,9 +692,9 @@ int Firestarter::run_campaign(cluster::AgentSession* session) {
                   << e.what() << " — rejoining";
       session->sink().mute(true);
       if (bus.in_phase()) bus.end_phase();
+      session->sink().mute(false);
       const std::uint32_t resume = session->rejoin();
       session->sink().rewind_phase(resume);
-      session->sink().mute(false);
       trace::FlightRecorder::instance().note_event(
           strings::format("rejoined; resuming at phase %u", resume));
       phase_index = resume;
@@ -929,36 +816,12 @@ int Firestarter::run_coordinator() {
   // fleet of cooperative sim agents over real localhost TCP — the entire
   // protocol exercised inside one deterministic process, at fleet sizes a
   // thread per agent could never reach.
-  std::unique_ptr<SimFleet> fleet;
-  std::string fleet_error;
-  std::thread fleet_thread;
-  if (!loopback.empty()) {
-    const std::uint16_t port = coordinator->port();
-    fleet_thread = std::thread([&, port] {
-      try {
-        fleet = std::make_unique<SimFleet>(cfg_, loopback, port,
-                                           chaos ? &*chaos : nullptr);
-        fleet->run();
-      } catch (const std::exception& e) {
-        fleet_error = e.what();
-      }
-    });
-  }
-
-  cluster::Coordinator::Result result;
-  std::string failure;
-  try {
-    result = coordinator->run(out_);
-  } catch (const std::exception& e) {
-    failure = e.what();
-    // Destroying the coordinator closes every connection, which errors the
-    // loopback agents out of their waits — join cannot hang.
-    coordinator.reset();
-  }
-  if (fleet_thread.joinable()) fleet_thread.join();
-  if (!fleet_error.empty())
-    out_ << "loopback fleet failed to start: " << fleet_error << "\n";
-  if (!failure.empty()) throw Error("cluster run failed: " + failure);
+  const LoopbackRun run = run_with_loopback_fleet(std::move(coordinator), out_, cfg_, loopback,
+                                                  chaos ? &*chaos : nullptr);
+  if (!run.fleet_error.empty())
+    out_ << "loopback fleet failed to start: " << run.fleet_error << "\n";
+  if (!run.failure.empty()) throw Error("cluster run failed: " + run.failure);
+  const cluster::Coordinator::Result& result = run.result;
 
   cluster::ClusterBus::write_csv(out_, result.rows);
   if (cfg_.trace_out) {
@@ -969,21 +832,15 @@ int Firestarter::run_coordinator() {
          << " spans, clock-rebased onto the coordinator; load in Perfetto or "
             "chrome://tracing)\n";
   }
-  bool agents_ok = fleet_error.empty();
-  if (fleet) {
-    std::size_t reported = 0;
-    for (const SimFleet::Outcome& outcome : fleet->outcomes())
-      if (!outcome.ok) {
-        agents_ok = false;
-        // A fleet-wide failure is usually one cause repeated 512 times;
-        // show the first few, count the rest.
-        if (reported++ < 5)
-          log::error() << "loopback agent " << outcome.name << ": " << outcome.error;
-      }
-    if (reported > 5)
-      log::error() << "... and " << (reported - 5) << " more loopback agent failures";
-  }
-  if (!agents_ok) return 1;
+  // A fleet-wide failure is usually one cause repeated 512 times; show the
+  // first few, count the rest.
+  for (std::size_t i = 0; i < std::min<std::size_t>(run.failed_agents.size(), 5); ++i)
+    log::error() << "loopback agent " << run.failed_agents[i].name << ": "
+                 << run.failed_agents[i].error;
+  if (run.failed_agents.size() > 5)
+    log::error() << "... and " << (run.failed_agents.size() - 5)
+                 << " more loopback agent failures";
+  if (!run.fleet_error.empty() || !run.failed_agents.empty()) return 1;
   if (cfg_.require_convergence && !result.converged()) {
     log::error() << "cluster run failed --require-convergence ("
                  << (result.nodes_converged ? "" : "node setpoints; ")
@@ -1358,14 +1215,9 @@ int Firestarter::run_optimization() {
   std::unique_ptr<sim::SimulatedSystem> system;
   if (target.simulated) {
     system = std::make_unique<sim::SimulatedSystem>(target.sim_config);
-    sim::RunConditions cond;
-    cond.freq_mhz = cfg_.sim_freq_mhz;
-    cond.policy = policy_of(cfg_);
-    cond.gpu_stress = target.gpu_stress;
-    if (cfg_.threads) cond.threads = *cfg_.threads;
-    auto sim_backend =
-        std::make_unique<SimBackend>(*system, fn.mix, target.caches, cond,
-                                     cfg_.candidate_duration_s, cfg_.seed);
+    auto sim_backend = std::make_unique<SimBackend>(
+        *system, fn.mix, target.caches, run_conditions(cfg_, target.gpu_stress),
+        cfg_.candidate_duration_s, cfg_.seed);
     out_ << "preheat (" << cfg_.preheat_s << " s virtual) ...\n";
     sim_backend->preheat();
     backend = std::move(sim_backend);

@@ -7,9 +7,9 @@
 #include <cerrno>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 #include "cluster/clock_sync.hpp"
-#include "payload/groups.hpp"
 #include "trace/flight_recorder.hpp"
 #include "trace/registry.hpp"
 #include "trace/tracer.hpp"
@@ -194,67 +194,20 @@ double SimAgent::epoch_elapsed_s() const {
   return protocol_.epoch_elapsed_s(cluster::local_clock_s());
 }
 
-const payload::PayloadStats& SimAgent::stats_for(const payload::FunctionDef& fn,
-                                                 const sched::CampaignPhase& spec) {
-  const std::string groups_text =
-      spec.groups ? *spec.groups
-                  : (cfg_.instruction_groups ? *cfg_.instruction_groups
-                                             : fn.default_groups);
-  payload::CompileOptions options;
-  if (spec.unroll)
-    options.unroll = *spec.unroll;
-  else if (cfg_.line_count)
-    options.unroll = *cfg_.line_count;
-  options.dump_registers = cfg_.dump_registers;
-  const std::string key =
-      fn.name + "|" + groups_text + strings::format("|u=%u", options.unroll);
-  auto it = stats_cache_.find(key);
-  if (it != stats_cache_.end()) return it->second;
-  const payload::PayloadStats stats = payload::analyze_payload(
-      fn.mix, payload::InstructionGroups::parse(groups_text), target_.caches, options);
-  return stats_cache_.emplace(key, stats).first->second;
-}
-
 void SimAgent::prepare_campaign() {
   const cluster::CampaignMsg& campaign = protocol_.campaign();
   std::istringstream in(campaign.campaign_text);
   phases_ = sched::Campaign::parse(in, "(from coordinator)");
   target_ = resolve_target(cfg_);
-  system_ = std::make_unique<sim::SimulatedSystem>(target_.sim_config);
-
-  const bool budget_mode = campaign.has_budget != 0;
-  bool any_target = budget_mode;
-  bool any_temp = false;
-  for (const sched::CampaignPhase& spec : phases_->phases()) any_temp |= spec.measure_temp;
-  for (const sched::CampaignPhase& spec : phases_->phases()) {
-    ResolvedPhase phase;
-    phase.fn = spec.function ? &payload::find_function(*spec.function)
-               : cfg_.function_id ? &payload::find_function(*cfg_.function_id)
-               : cfg_.function_name ? &payload::find_function(*cfg_.function_name)
-                                    : &payload::select_function(target_.cpu);
-    phase.profile = sched::parse_profile(spec.profile_spec, cfg_.load, cfg_.period_s);
-    if (budget_mode) {
-      control::Setpoint sp;
-      sp.variable = control::ControlVariable::kPower;
-      sp.value = protocol_.setpoint_w();
-      sp.interval_s = campaign.ctl_interval_s;
-      sp.band = campaign.budget_band;
-      sp.validate_duration(spec.duration_s, "campaign phase '" + spec.name + "'");
-      phase.setpoint = sp;
-    } else if (spec.target_spec) {
-      phase.setpoint = control::Setpoint::parse(*spec.target_spec);
-      phase.setpoint->validate_duration(spec.duration_s,
-                                        "campaign phase '" + spec.name + "'");
-      any_target = true;
-    }
-    resolved_.push_back(std::move(phase));
-  }
+  std::optional<BudgetShare> budget;
+  if (campaign.has_budget != 0)
+    budget = BudgetShare{protocol_.setpoint_w(), campaign.ctl_interval_s, campaign.budget_band};
+  plan_ = plan_campaign(cfg_, target_, *phases_, budget, /*quiet=*/true);
 
   wake_time_ = cluster::to_time_point(protocol_.epoch().t0_agent_s);
   sink_ = std::make_unique<cluster::RemoteSink>(&conn_, wake_time_);
   bus_.attach(sink_.get());
-  channels_ = register_sim_channels(bus_, /*with_temp=*/any_target || any_temp,
-                                    /*trimmed_aux=*/true, /*summarize_load=*/true);
+  stepper_.emplace(cfg_, target_, bus_, SimPhaseStepper::wants_temp(*phases_, plan_));
   // A rejoined replacement resumes where its predecessor died: the
   // coordinator already credited the completed phases, which are never
   // re-run, and the fresh sink's first begin bracket must carry the resume
@@ -280,10 +233,6 @@ void SimAgent::begin_phase() {
   const sched::CampaignPhase& spec = phases_->phases()[phase_index];
   close_wait_span("agent.barrier_wait");
   if (protocol_.tracing()) phase_open_s_ = trace::now_s();
-  // The budget setpoint value is re-read AFTER the barrier so the phase
-  // starts from the latest apportionment.
-  if (protocol_.campaign().has_budget != 0)
-    resolved_[phase_index].setpoint->value = protocol_.setpoint_w();
   const TrimDeltas deltas = phase_deltas(cfg_, spec.duration_s);
   // The begin bracket goes on the wire NOW; the phase's virtual-time work
   // waits for advance() so a barrier release reaches the whole fleet
@@ -299,7 +248,7 @@ void SimAgent::begin_phase() {
 
 void SimAgent::send_budget_report() {
   if (protocol_.tracing()) wait_open_s_ = trace::now_s();
-  const auto report = protocol_.report_budget(run_->loop());
+  const auto report = protocol_.report_budget(*stepper_->loop());
   send_output();
   metrics_.counter("agent.budget_exchanges").add();
   metrics_.gauge("agent.achieved_w").set(report.achieved_w);
@@ -316,43 +265,26 @@ void SimAgent::advance() {
   try {
     const std::uint32_t phase_index = protocol_.phase();
     const sched::CampaignPhase& spec = phases_->phases()[phase_index];
-    const ResolvedPhase& res = resolved_[phase_index];
-    const double campaign_time_s = bus_.phase().time_offset_s;
-    const std::uint64_t seed = cfg_.seed + phase_index;
-
-    if (res.setpoint) {
-      if (!run_)
-        run_ = std::make_unique<ControlledSimPhaseRun>(
-            *system_, cfg_, stats_for(*res.fn, spec), *res.setpoint, spec.duration_s,
-            seed, campaign_time_s, target_.gpu_stress, spec.freq_mhz, spec.threads,
-            carry_temp_c_, bus_, channels_);
-      while (!run_->done()) {
-        const double t = run_->step();
-        ship_metrics();
-        if (maybe_die() || maybe_stall()) return;  // a stall resumes this loop later
-        if (protocol_.budget_due(t)) {
-          send_budget_report();
-          return;  // resume from the coordinator's reassignment
-        }
-      }
-      all_converged_ &= report_convergence(run_->loop(), spec.duration_s,
-                                           "phase '" + spec.name + "'", /*quiet=*/true);
-      carry_temp_c_ = run_->final_temp_c();
-      run_.reset();
-    } else {
-      Config phase_cfg = cfg_;
-      if (spec.freq_mhz) phase_cfg.sim_freq_mhz = *spec.freq_mhz;
-      if (spec.threads) phase_cfg.threads = *spec.threads;
-      const SimPhaseResult result =
-          run_sim_phase(*system_, phase_cfg, stats_for(*res.fn, spec), *res.profile,
-                        spec.duration_s, seed, campaign_time_s, target_.gpu_stress,
-                        bus_, channels_, carry_temp_c_);
-      carry_temp_c_ = result.final_temp_c
-                          ? result.final_temp_c
-                          : std::make_optional(advance_thermal_carry(
-                                *system_, spec.duration_s, result.mean_power_w,
-                                carry_temp_c_));
+    if (!stepper_->in_phase()) {
+      // The budget share is read AFTER the barrier, so the phase starts
+      // from the latest apportionment (no assignment arrives between the
+      // release and here: none is solicited).
+      const std::optional<double> budget_w =
+          protocol_.campaign().has_budget != 0 ? std::optional<double>(protocol_.setpoint_w())
+                                               : std::nullopt;
+      stepper_->begin(spec, plan_[phase_index], cfg_.seed + phase_index, budget_w);
     }
+    while (!stepper_->done()) {
+      const double t = stepper_->step();
+      if (stepper_->loop() == nullptr) continue;  // open-loop: ran whole
+      ship_metrics();
+      if (maybe_die() || maybe_stall()) return;  // a stall resumes this loop later
+      if (protocol_.budget_due(t)) {
+        send_budget_report();
+        return;  // resume from the coordinator's reassignment
+      }
+    }
+    stepper_->end("phase '" + spec.name + "'", /*quiet=*/true);
     ship_metrics();
     finish_phase();
   } catch (const std::exception& e) {
@@ -377,7 +309,7 @@ void SimAgent::finish_phase() {
 
 void SimAgent::send_verdict() {
   bus_.finish();
-  protocol_.finish(cluster::local_clock_s(), all_converged_,
+  protocol_.finish(cluster::local_clock_s(), stepper_->all_converged(),
                    strings::format("%zu phases on %s", phases_->size(),
                                    target_.sim_config.name.c_str()));
   send_output();
@@ -402,7 +334,7 @@ void SimAgent::handle_frame(const cluster::Frame& frame) {
       break;
     case Action::kRetune:
       close_wait_span("agent.budget_wait");
-      run_->loop().set_target(protocol_.setpoint_w());
+      stepper_->loop()->set_target(protocol_.setpoint_w());
       wait_ = Wait::kRun;
       break;
     case Action::kShutdown:
@@ -617,6 +549,36 @@ bool SimFleet::all_ok() const {
     if (!outcome.ok) return false;
   }
   return true;
+}
+
+LoopbackRun run_with_loopback_fleet(std::unique_ptr<cluster::Coordinator> coordinator,
+                                    std::ostream& log, const Config& base,
+                                    const std::vector<LoopbackSpec>& specs,
+                                    const cluster::FaultPlan* plan) {
+  LoopbackRun run;
+  std::unique_ptr<SimFleet> fleet;
+  std::thread fleet_thread;
+  if (!specs.empty()) {
+    fleet_thread = std::thread([&, port = coordinator->port()] {
+      try {
+        fleet = std::make_unique<SimFleet>(base, specs, port, plan);
+        fleet->run();
+      } catch (const std::exception& e) {
+        run.fleet_error = e.what();
+      }
+    });
+  }
+  try {
+    run.result = coordinator->run(log);
+  } catch (const std::exception& e) {
+    run.failure = e.what();
+    coordinator.reset();
+  }
+  if (fleet_thread.joinable()) fleet_thread.join();
+  if (fleet)
+    for (const SimFleet::Outcome& outcome : fleet->outcomes())
+      if (!outcome.ok) run.failed_agents.push_back(outcome);
+  return run;
 }
 
 }  // namespace fs2::firestarter

@@ -1,19 +1,18 @@
 #pragma once
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/agent_protocol.hpp"
+#include "cluster/coordinator.hpp"
 #include "cluster/fault_injection.hpp"
 #include "cluster/messages.hpp"
 #include "cluster/remote_sink.hpp"
 #include "cluster/transport.hpp"
 #include "firestarter/sim_phases.hpp"
-#include "payload/compiler.hpp"
 #include "sched/campaign.hpp"
 #include "telemetry/sinks.hpp"
 #include "trace/registry.hpp"
@@ -47,9 +46,10 @@ void raise_fd_limit(std::size_t need);
 
 /// One in-process simulated agent driven by the fleet's event loop instead
 /// of a dedicated thread: a cooperative driver of cluster::AgentProtocol
-/// that yields back to the loop wherever the protocol would block. What it
-/// adds is sim- and chaos-specific: phase compute in virtual time,
-/// kill/stall cues, a private metric registry and wait spans per node.
+/// and of the same SimPhaseStepper a local campaign runs, yielding back to
+/// the loop wherever either would block. What it adds is chaos and
+/// scheduling: kill/stall cues, a private metric registry and wait spans
+/// per node.
 class SimAgent {
  public:
   /// What the agent is blocked on.
@@ -105,12 +105,6 @@ class SimAgent {
   void advance();
 
  private:
-  struct ResolvedPhase {
-    const payload::FunctionDef* fn = nullptr;
-    sched::ProfilePtr profile;
-    std::optional<control::Setpoint> setpoint;
-  };
-
   void handle_frame(const cluster::Frame& frame);
   void send_output();
   void prepare_campaign();
@@ -135,12 +129,6 @@ class SimAgent {
   double epoch_elapsed_s() const;
   /// Close the open barrier/budget wait span (no-op when none is open).
   void close_wait_span(const char* name);
-  /// Analyzed stats for the phase's workload, cached by (function, groups,
-  /// unroll) — fuzz campaigns give every phase its own pattern, so the
-  /// cache key must cover the per-phase overrides, not just the function.
-  const payload::PayloadStats& stats_for(const payload::FunctionDef& fn,
-                                         const sched::CampaignPhase& spec);
-
   Config cfg_;
   std::string node_name_;
   cluster::Connection conn_;
@@ -169,18 +157,11 @@ class SimAgent {
 
   // Campaign state (valid after prepare_campaign()).
   Target target_;
-  std::unique_ptr<sim::SimulatedSystem> system_;
   std::optional<sched::Campaign> phases_;
-  std::vector<ResolvedPhase> resolved_;
+  std::vector<PhasePlan> plan_;
   telemetry::TelemetryBus bus_;
   std::unique_ptr<cluster::RemoteSink> sink_;
-  SimChannels channels_;
-  std::map<std::string, payload::PayloadStats> stats_cache_;
-
-  // Phase-run state.
-  std::unique_ptr<ControlledSimPhaseRun> run_;
-  std::optional<double> carry_temp_c_;
-  bool all_converged_ = true;
+  std::optional<SimPhaseStepper> stepper_;
 
   // Observability (tracing campaigns): phase and wait boundaries. The spans
   // themselves go to the protocol's per-agent buffer — hundreds of loopback
@@ -235,5 +216,23 @@ class SimFleet {
   std::vector<bool> respawned_;  ///< one respawn per node, ever
   std::vector<Outcome> outcomes_;
 };
+
+/// A coordinator run and the loopback fleet that ran alongside it.
+struct LoopbackRun {
+  cluster::Coordinator::Result result;
+  std::string failure;      ///< the coordinator's error ("" when it finished)
+  std::string fleet_error;  ///< the fleet failed to start ("" otherwise)
+  std::vector<SimFleet::Outcome> failed_agents;  ///< agents that did not finish cleanly
+};
+
+/// Run `coordinator` on the calling thread (chatter to `log`) and, when
+/// `specs` is non-empty, a SimFleet of them on a second thread dialing its
+/// port. A failing coordinator is destroyed at once, which closes every
+/// connection so the agents error out of their waits and the join cannot
+/// hang. Never throws: each caller words its own failure report.
+LoopbackRun run_with_loopback_fleet(std::unique_ptr<cluster::Coordinator> coordinator,
+                                    std::ostream& log, const Config& base,
+                                    const std::vector<LoopbackSpec>& specs,
+                                    const cluster::FaultPlan* plan = nullptr);
 
 }  // namespace fs2::firestarter

@@ -1,17 +1,22 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "arch/cache.hpp"
 #include "arch/processor.hpp"
-#include "cluster/agent.hpp"
 #include "control/controlled_profile.hpp"
 #include "control/feedback_loop.hpp"
 #include "control/setpoint.hpp"
 #include "firestarter/config.hpp"
+#include "payload/compiler.hpp"
 #include "payload/data.hpp"
+#include "payload/groups.hpp"
 #include "payload/mix.hpp"
+#include "sched/campaign.hpp"
 #include "sched/load_profile.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/plant.hpp"
@@ -40,6 +45,35 @@ payload::DataInitPolicy policy_of(const Config& cfg);
 
 inline double clamp01(double value) { return std::min(std::max(value, 0.0), 1.0); }
 
+// ---- workload resolution ----------------------------------------------------
+//
+// The paper's workload is w = (I, u, M). Every run mode resolves it by the
+// same precedence: a campaign phase's own key, then the CLI flag, then the
+// default.
+
+/// The instruction set I: a phase's function= key, then -i/--function, then
+/// the function the target's CPU is tuned for.
+const payload::FunctionDef& resolve_function(
+    const Config& cfg, const Target& target,
+    const std::optional<std::string>& phase_function = std::nullopt);
+
+/// The memory-access multiset M: a phase's groups= key, then
+/// --run-instruction-groups, then the function's default groups.
+payload::InstructionGroups resolve_groups(
+    const Config& cfg, const payload::FunctionDef& fn,
+    const std::optional<std::string>& phase_groups = std::nullopt);
+
+/// Compile options carrying the unroll factor u: a phase's unroll= key, then
+/// --set-line-count, then 0 (the compiler's L1-I-filling default).
+payload::CompileOptions compile_options(const Config& cfg,
+                                        std::optional<unsigned> phase_unroll = std::nullopt);
+
+/// Simulator run conditions: --freq, --threads and the data-init policy,
+/// with a phase's freq=/threads= overrides on top.
+sim::RunConditions run_conditions(const Config& cfg, bool gpu_stress,
+                                  std::optional<double> freq_mhz = std::nullopt,
+                                  std::optional<int> threads = std::nullopt);
+
 /// Effective trim deltas for a phase of `duration_s`: honor the configured
 /// --start/--stop deltas but never let them eat a short phase (campaign
 /// phases are often a few seconds; the paper's 5 s/2 s defaults assume
@@ -51,6 +85,40 @@ struct TrimDeltas {
 };
 
 TrimDeltas phase_deltas(const Config& cfg, double duration_s);
+
+// ---- phase plan -------------------------------------------------------------
+
+/// One campaign phase resolved for execution: the workload w = (I, u, M)
+/// and what schedules it — an open-loop load profile, or the setpoint a
+/// controller holds (then the profile is unused).
+struct PhasePlan {
+  const payload::FunctionDef* fn = nullptr;
+  payload::InstructionGroups groups;
+  payload::CompileOptions options;
+  sched::ProfilePtr profile;
+  std::optional<control::Setpoint> setpoint;
+};
+
+/// The coordinator's power budget as a node sees it: every phase regulates
+/// the node's apportioned share at the campaign's controller tick and band.
+struct BudgetShare {
+  double setpoint_w = 0.0;  ///< the initial share (assignments move it)
+  double interval_s = 0.0;
+  double band = 0.0;
+};
+
+/// Resolve every phase up front — functions, groups, profiles (including
+/// trace-file reads) and setpoints — so a campaign fails before phase 1
+/// starts stressing, never hours in. Under `budget` every phase regulates
+/// the node's power share and its profile=/target= keys are overridden.
+/// `quiet` drops the per-phase override warnings (fleets of in-process
+/// agents would repeat them per node).
+std::vector<PhasePlan> plan_campaign(const Config& cfg, const Target& target,
+                                     const sched::Campaign& campaign,
+                                     const std::optional<BudgetShare>& budget,
+                                     bool quiet = false);
+
+// ---- simulated phases -------------------------------------------------------
 
 /// The channels a simulated phase publishes, registered once per run so
 /// every phase's summary rows come out in the same stable order.
@@ -89,81 +157,91 @@ struct SimPhaseResult {
 /// temp channel is on (campaign `measure=temp` phases); nullopt starts
 /// from the idle-settled package.
 SimPhaseResult run_sim_phase(const sim::SimulatedSystem& system, const Config& cfg,
+                             const sim::RunConditions& cond,
                              const payload::PayloadStats& stats,
                              const sched::LoadProfile& profile, double duration_s,
-                             std::uint64_t seed, double warm_start_s, bool gpu_stress,
+                             std::uint64_t seed, double warm_start_s,
                              telemetry::TelemetryBus& bus, const SimChannels& ch,
                              std::optional<double> initial_temp_c = std::nullopt);
 
-/// One simulated closed-loop phase in resumable form: the controller and
-/// the PowerPlant step together in virtual time, one tick per step(), so a
-/// whole campaign of setpoint steps runs deterministically in milliseconds
-/// — and so callers that must pause mid-phase (cluster agents waiting on a
-/// budget reassignment, the loopback fleet's event loop) can stop between
-/// ticks without a thread blocking inside the phase. The plant exposes its
-/// exact span, so the loop starts from a feed-forward guess and the PID
-/// only has to trim leakage warm-up, quantization, and meter noise.
-class ControlledSimPhaseRun {
+/// Runs planned campaign phases on the simulated target in virtual time,
+/// one resumable step at a time. A controlled phase advances one controller
+/// tick per step(): the PowerPlant steps under the commanded level and the
+/// controller reacts — so callers that must pause mid-phase (a budget
+/// round, the loopback fleet's event loop) stop between ticks without a
+/// thread blocking inside the phase. An open-loop phase runs whole in one
+/// step(). Owns what lives across phases: the simulated system, the sim
+/// channels, the thermal carry (back-to-back phases heat the package
+/// continuously instead of snapping back to idle), the convergence verdicts
+/// and the analyzed payload stats per (function, groups, unroll).
+///
+/// Blocking and cooperative callers drive it alike, inside their own bus
+/// phase bracket:
+///
+///   stepper.begin(spec, plan, seed);
+///   while (!stepper.done()) {
+///     const double t = stepper.step();
+///     if (stepper.loop() != nullptr) ...  // budget round, metrics, chaos
+///   }
+///   stepper.end(label);
+class SimPhaseStepper {
  public:
-  ControlledSimPhaseRun(const sim::SimulatedSystem& system, const Config& cfg,
-                        const payload::PayloadStats& stats, const control::Setpoint& sp,
-                        double duration_s, std::uint64_t seed, double warm_start_s,
-                        bool gpu_stress, std::optional<double> freq_override,
-                        std::optional<int> threads_override,
-                        std::optional<double> initial_temp_c, telemetry::TelemetryBus& bus,
-                        const SimChannels& ch);
+  /// Registers the campaign sim channels on `bus` (trimmed, with the
+  /// temperature channel when `with_temp`). `cfg` and `target` must outlive
+  /// the stepper.
+  SimPhaseStepper(const Config& cfg, const Target& target, telemetry::TelemetryBus& bus,
+                  bool with_temp);
 
-  /// True once virtual time has covered the phase duration.
+  /// Whether a campaign publishes package temperature: some phase regulates
+  /// a setpoint or asks for measure=temp.
+  static bool wants_temp(const sched::Campaign& campaign, const std::vector<PhasePlan>& plan);
+
+  /// Start `spec` under `plan` (both must live until end()), once the
+  /// caller opened the bus phase (its time offset is the virtual preheat).
+  /// `budget_w` replaces the planned setpoint value with the power share in
+  /// force at the phase start.
+  void begin(const sched::CampaignPhase& spec, const PhasePlan& plan, std::uint64_t seed,
+             std::optional<double> budget_w = std::nullopt);
+  /// Between begin() and end().
+  bool in_phase() const { return spec_ != nullptr; }
+  /// The phase has covered its duration.
   bool done() const;
-
-  /// Advance one controller interval: the plant steps under the previously
-  /// commanded level, the tick's telemetry is published, and the controller
-  /// reacts to the fresh measurement — the same one-tick sensing lag a real
-  /// RAPL poll has. Returns the tick's virtual time.
+  /// Advance the phase; returns the virtual time reached. A controlled
+  /// step publishes the plant's tick, then the controller reacts to the
+  /// fresh measurement — the one-tick sensing lag a real RAPL poll has.
   double step();
+  /// The controller of the current (or just ended) controlled phase; null
+  /// for open-loop phases.
+  control::FeedbackLoop* loop() { return loop_.get(); }
 
-  control::FeedbackLoop& loop() { return *loop_; }
-  const control::ControlledProfile& profile() const { return *profile_; }
-  const sim::WorkloadPoint& point() const { return point_; }
-  /// Noise-free thermal state for the next phase (valid once done()).
-  double final_temp_c() const { return plant_.true_temp_c(); }
-
-  /// Transfer the loop/profile out for convergence reporting after the
-  /// phase completes (the run object must not be stepped afterwards).
-  std::unique_ptr<control::FeedbackLoop> take_loop() { return std::move(loop_); }
-  std::shared_ptr<control::ControlledProfile> take_profile() { return std::move(profile_); }
+  /// Close the phase: judge a controlled phase's convergence (logged as
+  /// `label` unless `quiet`). Returns the verdict; open-loop phases pass.
+  bool end(const std::string& label, bool quiet = false);
+  bool all_converged() const { return all_converged_; }
 
  private:
+  const payload::PayloadStats& stats_for(const PhasePlan& plan);
+
   const Config& cfg_;
-  double duration_s_;
-  double dt_;
-  sim::WorkloadPoint point_;
-  sim::PowerPlant plant_;
-  std::shared_ptr<control::ControlledProfile> profile_;
-  std::unique_ptr<control::FeedbackLoop> loop_;
+  const Target& target_;
+  sim::SimulatedSystem system_;
   telemetry::TelemetryBus& bus_;
-  SimChannels ch_;
-};
+  SimChannels channels_;
+  std::map<std::string, payload::PayloadStats> stats_cache_;
+  std::optional<double> carry_temp_c_;
+  bool all_converged_ = true;
 
-/// Blocking convenience over ControlledSimPhaseRun for callers with a
-/// thread to park: runs the phase to completion, pausing for the cluster
-/// budget exchange when `session` is regulating this node's power share
-/// (virtual time pauses for the round trip, so the exchange is
-/// deterministic).
-struct ControlledSimPhase {
-  sim::WorkloadPoint point;
-  std::shared_ptr<control::ControlledProfile> profile;
-  std::unique_ptr<control::FeedbackLoop> loop;
-  double final_temp_c = 0.0;  ///< noise-free thermal state for the next phase
+  // The running phase.
+  const sched::CampaignPhase* spec_ = nullptr;
+  const PhasePlan* plan_ = nullptr;
+  std::uint64_t seed_ = 0;
+  double warm_start_s_ = 0.0;
+  bool ran_ = false;  ///< open-loop phase already published
+  // Closed-loop phases: the plant and its controller.
+  std::optional<sim::PowerPlant> plant_;
+  double ipc_per_core_ = 0.0;
+  std::unique_ptr<control::FeedbackLoop> loop_;
 };
-
-ControlledSimPhase run_sim_controlled_phase(
-    const sim::SimulatedSystem& system, const Config& cfg,
-    const payload::PayloadStats& stats, const control::Setpoint& sp, double duration_s,
-    std::uint64_t seed, double warm_start_s, bool gpu_stress,
-    std::optional<double> freq_override, std::optional<int> threads_override,
-    std::optional<double> initial_temp_c, telemetry::TelemetryBus& bus,
-    const SimChannels& ch, cluster::AgentSession* session = nullptr);
 
 /// Convergence window for a phase of `duration_s`: the trailing quarter,
 /// but at least a few controller ticks' worth — capped so that week-long
@@ -176,11 +254,5 @@ double convergence_window_s(const control::FeedbackLoop& loop, double duration_s
 /// lines (large loopback fleets would emit thousands).
 bool report_convergence(const control::FeedbackLoop& loop, double duration_s,
                         const std::string& label, bool quiet = false);
-
-/// Advance the open-loop thermal carry through a phase — a first-order
-/// settle toward the phase's mean-power steady state — so a later
-/// temp-target phase doesn't inherit a stale (or idle-cold) package.
-double advance_thermal_carry(const sim::SimulatedSystem& system, double duration_s,
-                             double mean_power_w, std::optional<double> carry_temp_c);
 
 }  // namespace fs2::firestarter

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "cluster/coordinator.hpp"
 #include "firestarter/sim_fleet.hpp"
@@ -33,22 +32,14 @@ std::string eval_profile_spec(double duration_s) {
   return strings::format("square:low=0,high=100,period=%g", period_s);
 }
 
-/// The function a node's campaign phases resolve without a function= key —
-/// mirrors the single-run selection (CLI override, else tuned-for pick).
-const payload::FunctionDef& resolve_fn(const firestarter::Config& cfg,
-                                       const firestarter::Target& target) {
-  if (cfg.function_id) return payload::find_function(*cfg.function_id);
-  if (cfg.function_name) return payload::find_function(*cfg.function_name);
-  return payload::select_function(target.cpu);
-}
-
 /// What a node runs when the phase carries no groups=/unroll= keys: the
 /// CLI-level overrides when set, else the function's hand-tuned defaults.
-PatternSpec default_spec(const firestarter::Config& cfg, const payload::FunctionDef& fn) {
+PatternSpec default_spec(const firestarter::Config& cfg) {
+  const firestarter::Target target = firestarter::resolve_target(cfg);
+  const payload::FunctionDef& fn = firestarter::resolve_function(cfg, target);
   PatternSpec spec;
-  spec.groups = payload::InstructionGroups::parse(
-      cfg.instruction_groups ? *cfg.instruction_groups : fn.default_groups);
-  spec.unroll = cfg.line_count ? *cfg.line_count : 0;
+  spec.groups = firestarter::resolve_groups(cfg, fn);
+  spec.unroll = firestarter::compile_options(cfg).unroll;
   return spec;
 }
 
@@ -60,7 +51,7 @@ class LocalEvaluator final : public Evaluator {
       : cfg_(std::move(cfg)),
         duration_s_(duration_s),
         target_(firestarter::resolve_target(cfg_)),
-        fn_(resolve_fn(cfg_, target_)) {
+        fn_(firestarter::resolve_function(cfg_, target_)) {
     if (!target_.simulated)
       throw ConfigError(
           "--fuzz needs --simulate or --loopback: a sweep is hundreds of "
@@ -77,7 +68,7 @@ class LocalEvaluator final : public Evaluator {
   }
 
   std::vector<Evaluation> baseline() override {
-    return {evaluate_one(default_spec(cfg_, fn_))};
+    return {evaluate_one(default_spec(cfg_))};
   }
 
  private:
@@ -100,9 +91,9 @@ class LocalEvaluator final : public Evaluator {
         sched::parse_profile(eval_profile_spec(duration_s_), cfg_.load, cfg_.period_s);
     const firestarter::TrimDeltas deltas = firestarter::phase_deltas(cfg_, duration_s_);
     bus.begin_phase(kPhase, duration_s_, deltas.start_s, deltas.stop_s);
-    firestarter::run_sim_phase(system, cfg_, stats, *profile, duration_s_,
-                               cfg_.seed + evaluated_++, /*warm_start_s=*/0.0,
-                               target_.gpu_stress, bus, ch);
+    firestarter::run_sim_phase(system, cfg_, firestarter::run_conditions(cfg_, target_.gpu_stress),
+                               stats, *profile, duration_s_, cfg_.seed + evaluated_++,
+                               /*warm_start_s=*/0.0, bus, ch);
     bus.finish();
 
     Evaluation evaluation;
@@ -191,9 +182,8 @@ class FleetEvaluator final : public Evaluator {
       firestarter::Config node_cfg = cfg_;
       node_cfg.target = specs_[j].target;
       node_cfg.sim_freq_mhz = specs_[j].freq_mhz;
-      const firestarter::Target target = firestarter::resolve_target(node_cfg);
       Evaluation evaluation;
-      evaluation.spec = default_spec(node_cfg, resolve_fn(node_cfg, target));
+      evaluation.spec = default_spec(node_cfg);
       evaluation.node = result.nodes[j].name;
       evaluation.sku = result.nodes[j].sku;
       evaluation.signature =
@@ -213,9 +203,8 @@ class FleetEvaluator final : public Evaluator {
     return rows;
   }
 
-  /// One coordinator/agent round trip, mirroring the --coordinator wiring:
-  /// ephemeral loopback port, the SimFleet on its own thread, the
-  /// coordinator torn down on failure so agents error out of their waits.
+  /// One coordinator/agent round trip over an ephemeral loopback port, the
+  /// same launch the --coordinator mode uses.
   cluster::Coordinator::Result run_cluster(const std::vector<std::string>& texts,
                                            std::size_t phase_count) {
     TRACE_SPAN("fuzz.cluster_round");
@@ -239,43 +228,21 @@ class FleetEvaluator final : public Evaluator {
     options.seed = cfg_.seed;
     firestarter::raise_fd_limit(4 * specs_.size() + 64);
 
-    auto coordinator = std::make_unique<cluster::Coordinator>(options);
-    const std::uint16_t port = coordinator->port();
-    std::unique_ptr<firestarter::SimFleet> fleet;
-    std::string fleet_error;
-    std::thread fleet_thread([&, port] {
-      try {
-        fleet = std::make_unique<firestarter::SimFleet>(cfg_, specs_, port);
-        fleet->run();
-      } catch (const std::exception& e) {
-        fleet_error = e.what();
-      }
-    });
-
     // Per-node clock-sync chatter is noise at fuzz scale (a line per node
     // per cluster run); buffer it and surface it only when the run fails.
     std::ostringstream chatter;
-    cluster::Coordinator::Result result;
-    std::string failure;
-    try {
-      result = coordinator->run(chatter);
-    } catch (const std::exception& e) {
-      failure = e.what();
-      coordinator.reset();
-    }
-    if (fleet_thread.joinable()) fleet_thread.join();
-    if (!fleet_error.empty()) failure = "loopback fleet failed: " + fleet_error;
-    if (failure.empty() && fleet)
-      for (const firestarter::SimFleet::Outcome& outcome : fleet->outcomes())
-        if (!outcome.ok) {
-          failure = "loopback agent " + outcome.name + ": " + outcome.error;
-          break;
-        }
+    firestarter::LoopbackRun run = firestarter::run_with_loopback_fleet(
+        std::make_unique<cluster::Coordinator>(options), chatter, cfg_, specs_);
+    std::string failure = run.failure;
+    if (!run.fleet_error.empty()) failure = "loopback fleet failed: " + run.fleet_error;
+    if (failure.empty() && !run.failed_agents.empty())
+      failure = "loopback agent " + run.failed_agents.front().name + ": " +
+                run.failed_agents.front().error;
     if (!failure.empty()) {
       log_ << chatter.str();
       throw Error("fuzz cluster round failed: " + failure);
     }
-    return result;
+    return std::move(run.result);
   }
 
   firestarter::Config cfg_;

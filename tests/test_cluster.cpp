@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -586,6 +588,68 @@ TEST(LoopbackFleet, SixtyFourNodeFleetMergesCorrectly) {
   }
 }
 
+/// The CSV rows after the header line; with `node` set, only that node's
+/// rows of a merged fleet CSV, its node column stripped.
+std::vector<std::string> csv_rows(const std::string& output, const std::string& node = "") {
+  std::istringstream lines(output);
+  std::vector<std::string> rows;
+  std::string line;
+  bool header_seen = false;
+  const std::string suffix = "," + node;
+  while (std::getline(lines, line)) {
+    if (line.rfind("metric,unit,", 0) == 0) {
+      header_seen = true;
+    } else if (header_seen && node.empty()) {
+      rows.push_back(line);
+    } else if (header_seen && line.size() > suffix.size() &&
+               line.compare(line.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      rows.push_back(line.substr(0, line.size() - suffix.size()));
+    }
+  }
+  return rows;
+}
+
+TEST(LoopbackFleet, OneNodeFleetMatchesLocalCampaignRows) {
+  // The loopback agent and the local campaign runner drive the same phase
+  // stepper, so a one-node fleet reproduces a local run row for row. SimFleet
+  // seeds node i with base + i + 1, hence the local run's seed S + 1.
+  const char* campaigns[] = {
+      // examples/cluster_acceptance.campaign: open-loop phases.
+      "phase name=ramp duration=20 profile=constant:60\n"
+      "phase name=hold duration=30 profile=constant:80\n"
+      "phase name=cool duration=20 profile=constant:40\n",
+      // examples/setpoint_steps.campaign: target= phases, power and temp.
+      "phase name=low-hold   duration=30 target=power=200W\n"
+      "phase name=high-hold  duration=30 target=power=320W\n"
+      "phase name=low-again  duration=30 target=power=200W\n"
+      "phase name=warm-hold  duration=60 target=temp=55C\n"};
+  constexpr std::uint64_t kSeed = 40;
+  for (const char* text : campaigns) {
+    const std::string campaign = write_campaign("/tmp/fs2_cluster_parity.campaign", text);
+    firestarter::Config fleet_cfg;
+    fleet_cfg.loopback_nodes = "zen2";
+    fleet_cfg.coordinator = true;
+    fleet_cfg.campaign_file = campaign;
+    fleet_cfg.seed = kSeed;
+    fleet_cfg.cluster_start_delay_s = 0.1;
+    fleet_cfg.log_level = "error";
+    std::ostringstream fleet_out;
+    ASSERT_EQ(firestarter::Firestarter(fleet_cfg, fleet_out).run(), 0) << fleet_out.str();
+
+    firestarter::Config local_cfg;
+    local_cfg.target = firestarter::TargetSystem::kSimZen2;
+    local_cfg.campaign_file = campaign;
+    local_cfg.seed = kSeed + 1;
+    local_cfg.log_level = "error";
+    std::ostringstream local_out;
+    ASSERT_EQ(firestarter::Firestarter(local_cfg, local_out).run(), 0) << local_out.str();
+
+    const std::vector<std::string> local = csv_rows(local_out.str());
+    EXPECT_FALSE(local.empty()) << local_out.str();
+    EXPECT_EQ(csv_rows(fleet_out.str(), "n0-zen2"), local) << text;
+  }
+}
+
 TEST(MultiProcessFleet, RealAgentSessionsConvergeOverTcp) {
   // The production --agent path (run_agent -> AgentSession -> run_campaign's
   // session branches) must stay covered now that --loopback drives SimFleet
@@ -774,6 +838,91 @@ TEST(RemoteSinkTest, BatchThresholdAdaptsToSampleRate) {
   bus.finish();
   done.store(true);
   drain.join();
+}
+
+TEST(AgentSessionTest, RejoinReannouncesChannelsBeforeSamples) {
+  // A real agent's link can drop before its channel registrations reach the
+  // coordinator; the rejoined session must register them again on the new
+  // socket, or the coordinator drops the node for samples on unknown ids.
+  Listener listener(0, /*loopback_only=*/true);
+  auto admit = [](Connection& conn) {
+    CampaignMsg campaign;
+    campaign.campaign_text = "phase name=hold duration=10\n";
+    campaign.campaign_id = 7;
+    conn.send(campaign.encode());
+    EpochMsg epoch;
+    epoch.t0_agent_s = local_clock_s();
+    conn.send(epoch.encode());
+  };
+  std::vector<Frame> rejoined;  // every frame the second link carried
+  std::string coordinator_error;
+  std::promise<void> registered;
+  std::thread coordinator([&] {
+    try {
+      Connection first = listener.accept(/*timeout_s=*/10.0);
+      if (!first.recv(/*timeout_s=*/10.0)) throw WireError("expected hello");
+      admit(first);
+      registered.get_future().wait();
+      first.close();  // the link dies before any registration is read
+      Connection second = listener.accept(/*timeout_s=*/10.0);
+      const auto rejoin = second.recv(/*timeout_s=*/10.0);
+      if (!rejoin || rejoin->type != MessageType::kRejoin) throw WireError("expected rejoin");
+      RejoinAckMsg ack;
+      ack.accepted = 1;
+      ack.resume_phase = 0;
+      second.send(ack.encode());
+      admit(second);
+      while (const auto frame = second.recv(/*timeout_s=*/5.0)) {
+        rejoined.push_back(*frame);
+        WireReader reader(frame->payload);
+        if (frame->type == MessageType::kPhaseBracket &&
+            PhaseBracketMsg::decode(reader).is_begin == 0)
+          break;
+      }
+    } catch (const std::exception& e) {
+      coordinator_error = e.what();
+    }
+  });
+
+  AgentSession::Options options;
+  options.endpoint = "127.0.0.1:" + std::to_string(listener.port());
+  options.node_name = "alpha";
+  options.sku = "sim-zen2";
+  {
+    AgentSession session(options);
+    telemetry::TelemetryBus bus;
+    bus.attach(&session.sink());
+    const telemetry::ChannelId power = bus.channel("sim-wall-power", "W");
+    const telemetry::ChannelId load = bus.channel("load-level", "fraction");
+    registered.set_value();
+    EXPECT_EQ(session.rejoin(), 0u);
+    bus.begin_phase("hold", 10.0, 0.0, 0.0);
+    for (int i = 0; i < 20; ++i) {
+      bus.publish(power, i * 0.5, 200.0);
+      bus.publish(load, i * 0.5, 1.0);
+    }
+    bus.end_phase();
+    coordinator.join();
+    ASSERT_TRUE(coordinator_error.empty()) << coordinator_error;
+
+    std::vector<std::uint32_t> announced;
+    bool samples_seen = false;
+    for (const Frame& frame : rejoined) {
+      WireReader reader(frame.payload);
+      if (frame.type == MessageType::kChannel) {
+        EXPECT_FALSE(samples_seen) << "channel registered after its samples";
+        announced.push_back(ChannelMsg::decode(reader).channel_id);
+      } else if (frame.type == MessageType::kSampleBatch) {
+        samples_seen = true;
+        const std::uint32_t id = SampleBatchMsg::decode(reader).channel_id;
+        EXPECT_NE(std::find(announced.begin(), announced.end(), id), announced.end())
+            << "samples on unannounced channel " << id;
+      }
+    }
+    EXPECT_TRUE(samples_seen);
+    EXPECT_EQ(announced, (std::vector<std::uint32_t>{static_cast<std::uint32_t>(power),
+                                                     static_cast<std::uint32_t>(load)}));
+  }
 }
 
 TEST(Coordinator, RequiresCampaignAndNodes) {

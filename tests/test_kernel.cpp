@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ctime>
 #include <sstream>
 #include <thread>
 
@@ -75,23 +76,35 @@ TEST(ThreadManager, StopWithoutStartJoinsCleanly) {
   EXPECT_EQ(manager.total_iterations(), 0u);
 }
 
+/// CPU time this process has consumed, all threads.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 TEST(ThreadManager, DutyCycleReducesThroughput) {
   if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
   auto payload = small_payload();
-  auto run_with_load = [&](double load) {
+  // Busy CPU time, not iterations: idle windows sleep, so the workers' CPU
+  // time tracks the duty cycle directly, while the iteration rate also moves
+  // with instrumentation, frequency and cache warm-up (the half-load run
+  // could out-iterate the full-load one under ASan).
+  auto busy_cpu_s = [&](double load) {
     RunOptions options = two_workers(load);
     options.period_s = 0.04;
     ThreadManager manager(payload, options);
+    const double cpu0 = process_cpu_s();
     manager.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
     manager.stop();
-    return manager.total_iterations();
+    return process_cpu_s() - cpu0;
   };
-  const auto full = run_with_load(1.0);
-  const auto half = run_with_load(0.5);
-  // 50 % duty cycle should land well below full throughput (generous margin
-  // for scheduler noise).
-  EXPECT_LT(static_cast<double>(half), static_cast<double>(full) * 0.85);
+  const double full = busy_cpu_s(1.0);
+  const double half = busy_cpu_s(0.5);
+  // 50 % duty cycle should land well below full load (generous margin for
+  // scheduler noise).
+  EXPECT_LT(half, full * 0.85);
 }
 
 TEST(ThreadManager, ValidatesOptions) {
