@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <thread>
 
 #include "util/error.hpp"
@@ -36,37 +37,55 @@ SelftestResult run_selftest(const payload::CompiledPayload& payload,
   if (iterations == 0) throw Error("run_selftest: iteration count must be positive");
 
   const std::size_t n = cpus.size();
-  std::vector<std::unique_ptr<payload::WorkBuffer>> buffers;
-  buffers.reserve(n);
-  // Identical seed on purpose: unlike a stress run (where per-worker data
-  // maximizes toggling), the self-test needs every worker to compute the
-  // same function.
-  for (std::size_t i = 0; i < n; ++i) {
-    buffers.push_back(payload.make_buffer());
-    buffers.back()->init(payload::DataInitPolicy::kSafe, seed);
-  }
-
+  std::vector<std::unique_ptr<payload::WorkBuffer>> buffers(n);
+  std::vector<std::exception_ptr> errors(n);
+  enum Go : int { kWait, kRun, kAbort };
   std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
+  std::atomic<int> go{kWait};
   std::vector<std::thread> threads;
   threads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads.emplace_back([&, i] {
-      if (cpus[i] >= 0) {
-        cpu_set_t set;
-        CPU_ZERO(&set);
-        CPU_SET(static_cast<unsigned>(cpus[i]), &set);
-        ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
-      }
-      ready.fetch_add(1, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      payload.fn()(&buffers[i]->args(), iterations);
-    });
+  auto release_and_join = [&](Go how) {
+    go.store(how, std::memory_order_release);
+    for (auto& thread : threads) thread.join();
+  };
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      threads.emplace_back([&, i] {
+        if (cpus[i] >= 0) {
+          cpu_set_t set;
+          CPU_ZERO(&set);
+          CPU_SET(static_cast<unsigned>(cpus[i]), &set);
+          ::pthread_setaffinity_np(::pthread_self(), sizeof set, &set);
+        }
+        // Each worker sets up its own buffer on its pinned thread, as a
+        // stress worker does. Identical seed on purpose: unlike a stress run
+        // (where per-worker data maximizes toggling), the self-test needs
+        // every worker to compute the same function.
+        try {
+          buffers[i] = payload.make_buffer();
+          buffers[i]->init(payload::DataInitPolicy::kSafe, seed);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+        ready.fetch_add(1, std::memory_order_release);
+        ready.notify_all();
+        int state;
+        while ((state = go.load(std::memory_order_acquire)) == kWait) std::this_thread::yield();
+        if (state == kRun) payload.fn()(&buffers[i]->args(), iterations);
+      });
+    }
+  } catch (...) {
+    release_and_join(kAbort);
+    throw;
   }
-  while (ready.load(std::memory_order_acquire) < static_cast<int>(n))
-    std::this_thread::yield();
-  go.store(true, std::memory_order_release);
-  for (auto& thread : threads) thread.join();
+  for (int seen; (seen = ready.load(std::memory_order_acquire)) < static_cast<int>(n);)
+    ready.wait(seen, std::memory_order_acquire);
+  for (const std::exception_ptr& error : errors) {
+    if (!error) continue;
+    release_and_join(kAbort);
+    std::rethrow_exception(error);
+  }
+  release_and_join(kRun);
 
   // Compare register dumps bit-exactly against worker 0 and screen for
   // invalid values. The dump area holds 16 x 8 doubles; only the first 11

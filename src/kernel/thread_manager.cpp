@@ -33,19 +33,28 @@ ThreadManager::ThreadManager(const payload::CompiledPayload& payload, RunOptions
     throw Error("ThreadManager: phase offset must be >= 0");
   profile_ = options_.profile ? options_.profile
                               : std::make_shared<sched::ConstantProfile>(options_.load);
-  buffers_.reserve(options_.cpus.size());
-  workers_.reserve(options_.cpus.size());
-  for (std::size_t i = 0; i < options_.cpus.size(); ++i) {
-    buffers_.push_back(payload_.make_buffer());
-    workers_.push_back(std::make_unique<Worker>());
+  const std::size_t n = options_.cpus.size();
+  buffers_.resize(n);  // each worker fills its own slot
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) workers_.push_back(std::make_unique<Worker>());
+  try {
+    for (std::size_t i = 0; i < n; ++i)
+      workers_[i]->thread = std::thread(&ThreadManager::worker_main, this, i, options_.cpus[i]);
+  } catch (...) {
+    stop();  // join the workers already spawned before the members go away
+    throw;
   }
-  for (std::size_t i = 0; i < options_.cpus.size(); ++i)
-    workers_[i]->thread = std::thread(&ThreadManager::worker_main, this, i, options_.cpus[i]);
-  // Wait until every worker initialized its operand buffer so start() hits
-  // all of them simultaneously (no staggered power ramp).
-  while (ready_count_.load(std::memory_order_acquire) <
-         static_cast<int>(options_.cpus.size()))
-    std::this_thread::yield();
+  // Wait until every worker set up its operand buffer so start() hits all
+  // of them simultaneously (no staggered power ramp). Blocking, not
+  // spinning: the set-up takes long enough that a spinning caller would
+  // steal time from a worker sharing its CPU.
+  for (int ready; (ready = ready_count_.load(std::memory_order_acquire)) < static_cast<int>(n);)
+    ready_count_.wait(ready, std::memory_order_acquire);
+  for (const auto& worker : workers_) {
+    if (!worker->setup_error) continue;
+    stop();
+    std::rethrow_exception(worker->setup_error);
+  }
 }
 
 ThreadManager::~ThreadManager() { stop(); }
@@ -77,16 +86,26 @@ std::uint64_t ThreadManager::total_iterations() const {
 
 void ThreadManager::worker_main(std::size_t index, int cpu) {
   pin_to_cpu(cpu);
-  payload::WorkBuffer& buffer = *buffers_[index];
-  // Distinct seed per worker: identical operand streams across cores would
-  // underestimate data-toggle power on a real machine.
-  buffer.init(options_.policy, options_.seed + index * 0x9e3779b97f4a7c15ULL);
+  Worker& self = *workers_[index];
+  // Allocate and fill on the pinned thread: the worker first-touches its own
+  // pages, and all workers set up in parallel. A failure is handed to the
+  // constructor, which rethrows it on the caller's thread.
+  try {
+    buffers_[index] = payload_.make_buffer();
+    // Distinct seed per worker: identical operand streams across cores would
+    // underestimate data-toggle power on a real machine.
+    buffers_[index]->init(options_.policy, options_.seed + index * 0x9e3779b97f4a7c15ULL);
+  } catch (...) {
+    self.setup_error = std::current_exception();
+  }
   ready_count_.fetch_add(1, std::memory_order_release);
+  ready_count_.notify_all();
+  if (self.setup_error) return;
 
   while (!started_.load(std::memory_order_acquire)) std::this_thread::yield();
 
   const payload::KernelFn kernel = payload_.fn();
-  Worker& self = *workers_[index];
+  payload::WorkBuffer& buffer = *buffers_[index];
   const sched::LoadProfile& profile = *profile_;
   const double period = options_.period_s;
   // Rotating-load shift: worker i samples the profile `i * offset` into the

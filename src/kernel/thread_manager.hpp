@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -51,6 +52,9 @@ struct RunOptions {
 class ThreadManager {
  public:
   /// Workers are created suspended; call start() to begin stressing.
+  /// Returns once every worker has allocated and initialized its buffer on
+  /// its own pinned thread. A worker's set-up error (e.g. a failed
+  /// allocation) joins all workers and is rethrown here.
   /// The payload must outlive the manager.
   ThreadManager(const payload::CompiledPayload& payload, RunOptions options);
   ~ThreadManager();
@@ -94,6 +98,7 @@ class ThreadManager {
   struct Worker {
     std::thread thread;
     std::atomic<std::uint64_t> iterations{0};
+    std::exception_ptr setup_error;  ///< written before the worker counts itself ready
   };
 
   void worker_main(std::size_t index, int cpu);

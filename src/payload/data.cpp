@@ -17,13 +17,14 @@ std::size_t ceil_pow2(std::size_t value) {
   return p;
 }
 
+/// Uninitialized aligned memory: pages stay untouched until the first write,
+/// so they are first-touched by whichever thread fills them.
 void* aligned_allocate(std::size_t alignment, std::size_t bytes) {
   void* mem = nullptr;
   if (alignment < sizeof(void*)) alignment = sizeof(void*);
   if (::posix_memalign(&mem, alignment, bytes) != 0)
     throw Error(strings::format("WorkBuffer: allocation of %zu bytes (align %zu) failed", bytes,
                                 alignment));
-  std::memset(mem, 0, bytes);
   return mem;
 }
 
@@ -71,15 +72,16 @@ RegionSizes RegionSizes::finalized(const SequenceStats& stats) const {
 
 WorkBuffer::WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats)
     : sizes_(sizes.finalized(stats)) {
-  // Constants + dump blocks (cache-line aligned).
+  // Constants + dump blocks (cache-line aligned), zeroed: register-dump
+  // readers check the dump area of kernels that never write it.
   const std::size_t consts_bytes = ConstLayout::kDoubles * sizeof(double);
-  allocations_[0] = aligned_allocate(64, consts_bytes);
-  args_.consts = static_cast<double*>(allocations_[0]);
+  allocations_[0].reset(aligned_allocate(64, consts_bytes));
+  args_.consts = static_cast<double*>(std::memset(allocations_[0].get(), 0, consts_bytes));
   allocated_ += consts_bytes;
 
   const std::size_t dump_bytes = 16 * 8 * sizeof(double);
-  allocations_[1] = aligned_allocate(64, dump_bytes);
-  args_.dump = static_cast<double*>(allocations_[1]);
+  allocations_[1].reset(aligned_allocate(64, dump_bytes));
+  args_.dump = static_cast<double*>(std::memset(allocations_[1].get(), 0, dump_bytes));
   allocated_ += dump_bytes;
 
   double** region_ptrs[kNumMemoryLevels] = {nullptr, &args_.l1, &args_.l2, &args_.l3, &args_.ram};
@@ -91,14 +93,11 @@ WorkBuffer::WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats)
     // resident mode wraps displacements inside the region. Either way the
     // furthest access is cursor + min(span, size) + one vector width.
     pad_bytes_[level] = std::min(span, size) + 64;
-    allocations_[level + 1] = aligned_allocate(2 * size, size + pad_bytes_[level]);
-    *region_ptrs[level] = static_cast<double*>(allocations_[level + 1]);
+    // Not zeroed: init() writes every byte of size + pad.
+    allocations_[level + 1].reset(aligned_allocate(2 * size, size + pad_bytes_[level]));
+    *region_ptrs[level] = static_cast<double*>(allocations_[level + 1].get());
     allocated_ += size + pad_bytes_[level];
   }
-}
-
-WorkBuffer::~WorkBuffer() {
-  for (void* mem : allocations_) std::free(mem);
 }
 
 void WorkBuffer::init(DataInitPolicy policy, std::uint64_t seed) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 
 #include "arch/cache.hpp"
@@ -78,21 +79,29 @@ struct RegionSizes {
 class WorkBuffer {
  public:
   /// Allocate regions of `sizes`, with enough padding for `stats`' maximum
-  /// per-iteration line span. Throws fs2::Error on allocation failure.
+  /// per-iteration line span. The constants block and the dump area start
+  /// zeroed; the streaming regions hold unspecified data (and stay untouched,
+  /// so unfaulted) until init(). Throws fs2::Error on allocation failure,
+  /// releasing whatever was already allocated.
   WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats);
-  ~WorkBuffer();
   WorkBuffer(const WorkBuffer&) = delete;
   WorkBuffer& operator=(const WorkBuffer&) = delete;
   WorkBuffer(WorkBuffer&&) = delete;
   WorkBuffer& operator=(WorkBuffer&&) = delete;
 
   /// (Re-)initialize all operand data under `policy` with deterministic
-  /// values derived from `seed`.
+  /// values derived from `seed`: the constants block and every byte of each
+  /// streaming region's size + pad span. The first call first-touches the
+  /// regions' pages from the calling thread.
   void init(DataInitPolicy policy, std::uint64_t seed);
 
   KernelArgs& args() { return args_; }
   const KernelArgs& args() const { return args_; }
   const RegionSizes& sizes() const { return sizes_; }
+
+  /// Bytes allocated past the end of `level`'s region for the kernel's
+  /// furthest read-ahead; init() fills them like the region itself.
+  std::size_t pad_bytes(MemoryLevel level) const { return pad_bytes_[static_cast<int>(level)]; }
 
   /// The register dump area (16 vectors x 8 doubles), written by kernels
   /// compiled with dump support. Narrower kernels fill the first 2 (SSE2)
@@ -103,10 +112,14 @@ class WorkBuffer {
   std::size_t allocated_bytes() const { return allocated_; }
 
  private:
+  struct Free {
+    void operator()(void* mem) const { std::free(mem); }
+  };
+
   RegionSizes sizes_;
   std::size_t pad_bytes_[kNumMemoryLevels] = {};
   KernelArgs args_;
-  void* allocations_[6] = {};
+  std::unique_ptr<void, Free> allocations_[6];
   std::size_t allocated_ = 0;
 };
 

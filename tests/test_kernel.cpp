@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <ctime>
 #include <sstream>
 #include <thread>
@@ -34,6 +35,25 @@ payload::CompiledPayload small_payload(bool dump = false) {
   return payload::compile_payload(fn.mix, payload::InstructionGroups::parse("REG:2,L1_L:1"),
                                   arch::CacheHierarchy::zen2(), options);
 }
+
+/// A payload whose RAM region no allocator can satisfy (2^52 bytes, aligned
+/// to 2^53): WorkBuffer construction fails on whichever thread attempts it.
+payload::CompiledPayload unallocatable_payload() {
+  payload::CompileOptions options;
+  options.unroll = 16;
+  options.ram_region_bytes = 1ull << 52;
+  const auto& fn = payload::find_function("FUNC_FMA_256_ZEN2");
+  return payload::compile_payload(fn.mix, payload::InstructionGroups::parse("REG:1,L1_L:1"),
+                                  arch::CacheHierarchy::zen2(), options);
+}
+
+/// ASan's and TSan's allocators abort on an impossible request instead of
+/// returning ENOMEM, so the allocation-failure tests cannot run under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kAllocatorAbortsOnHugeRequest = true;
+#else
+constexpr bool kAllocatorAbortsOnHugeRequest = false;
+#endif
 
 RunOptions two_workers(double load = 1.0) {
   RunOptions options;
@@ -116,6 +136,39 @@ TEST(ThreadManager, ValidatesOptions) {
   EXPECT_THROW(ThreadManager(payload, bad_load), Error);
 }
 
+TEST(ThreadManager, ConstructorHandsBackReadyBuffers) {
+  if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  auto payload = small_payload();
+  ThreadManager manager(payload, two_workers());
+  // Before start(): every worker's buffer is allocated and seeded.
+  for (std::size_t w = 0; w < manager.num_workers(); ++w) {
+    const payload::WorkBuffer& buffer = manager.buffer(w);
+    const payload::KernelArgs& args = buffer.args();
+    const double* regions[] = {args.l1, args.l2, args.l3, args.ram};
+    for (int level = 1; level < payload::kNumMemoryLevels; ++level) {
+      const std::size_t doubles =
+          (buffer.sizes().bytes[level] + buffer.pad_bytes(static_cast<payload::MemoryLevel>(level))) /
+          sizeof(double);
+      for (std::size_t i = 0; i < doubles; i += doubles / 64 + 1) {
+        const double magnitude = std::abs(regions[level - 1][i]);
+        EXPECT_TRUE(magnitude >= 1.0 && magnitude < 2.0)
+            << "worker " << w << " level " << level << " [" << i << "] = " << magnitude;
+      }
+      EXPECT_GE(std::abs(regions[level - 1][doubles - 1]), 1.0);
+    }
+    for (int i = 0; i < 16 * 8; ++i) EXPECT_EQ(buffer.dump()[i], 0.0);
+  }
+  // Distinct per-worker seeds give distinct operand streams.
+  EXPECT_NE(manager.buffer(0).args().l1[0], manager.buffer(1).args().l1[0]);
+}
+
+TEST(ThreadManager, WorkerSetupFailureThrowsOnCaller) {
+  if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  if (kAllocatorAbortsOnHugeRequest) GTEST_SKIP() << "sanitizer allocator aborts instead";
+  auto payload = unallocatable_payload();
+  EXPECT_THROW(ThreadManager(payload, two_workers()), Error);
+}
+
 TEST(RegisterDump, CaptureAndFormat) {
   if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
   auto payload = small_payload(/*dump=*/true);
@@ -187,6 +240,13 @@ TEST(Selftest, RejectsPayloadWithoutDump) {
   if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
   auto payload = small_payload(/*dump=*/false);
   EXPECT_THROW(run_selftest(payload, {-1}, 100, 1), Error);
+}
+
+TEST(Selftest, WorkerSetupFailureThrowsOnCaller) {
+  if (!host_has_fma()) GTEST_SKIP() << "host lacks FMA";
+  if (kAllocatorAbortsOnHugeRequest) GTEST_SKIP() << "sanitizer allocator aborts instead";
+  auto payload = unallocatable_payload();
+  EXPECT_THROW(run_selftest(payload, {-1, -1}, 100, 1), Error);
 }
 
 TEST(Selftest, FailureDescriptionNamesWorkers) {

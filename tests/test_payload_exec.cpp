@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -238,6 +239,35 @@ TEST(PayloadBuffer, SafeInitHasNoTrivialOperands) {
   // m and 1/m are non-trivial (not exactly 1.0).
   EXPECT_NE(consts[ConstLayout::kMulUp], 1.0);
   EXPECT_NE(consts[ConstLayout::kMulDown], 1.0);
+}
+
+TEST(PayloadBuffer, InitWritesWholeRegionSpan) {
+  // The streaming regions are allocated unzeroed, so init() alone must cover
+  // every byte the kernel can read: each region plus its read-ahead pad.
+  const auto& fn = find_function("FUNC_FMA_256_ZEN2");
+  auto stats = analyze_payload(fn.mix, InstructionGroups::parse("RAM_L:1,L3_L:1,L2_L:1,L1_L:1"),
+                               test_caches(), small_options(16));
+  WorkBuffer buffer(stats.regions, stats.sequence);
+  double* regions[] = {buffer.args().l1, buffer.args().l2, buffer.args().l3, buffer.args().ram};
+  std::size_t spans[kNumMemoryLevels] = {};
+  for (int level = 1; level < kNumMemoryLevels; ++level) {
+    const auto ml = static_cast<MemoryLevel>(level);
+    EXPECT_GT(buffer.pad_bytes(ml), 0u);
+    spans[level] = (buffer.sizes().bytes[level] + buffer.pad_bytes(ml)) / sizeof(double);
+    // Poison first, so a byte init() skips fails whatever the allocator left.
+    std::fill_n(regions[level - 1], spans[level], std::nan(""));
+  }
+  buffer.init(DataInitPolicy::kSafe, 9);
+  for (int level = 1; level < kNumMemoryLevels; ++level) {
+    const double* region = regions[level - 1];
+    std::size_t bad = 0;
+    for (std::size_t i = 0; i < spans[level]; ++i) {
+      const double sign = (i / 8) % 2 == 0 ? 1.0 : -1.0;
+      const double magnitude = sign * region[i];
+      if (!(magnitude >= 1.0 && magnitude < 2.0)) ++bad;
+    }
+    EXPECT_EQ(bad, 0u) << "level " << level << ": " << spans[level] << " doubles";
+  }
 }
 
 }  // namespace
