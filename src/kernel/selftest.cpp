@@ -46,6 +46,7 @@ SelftestResult run_selftest(const payload::CompiledPayload& payload,
   threads.reserve(n);
   auto release_and_join = [&](Go how) {
     go.store(how, std::memory_order_release);
+    go.notify_all();
     for (auto& thread : threads) thread.join();
   };
   try {
@@ -69,9 +70,9 @@ SelftestResult run_selftest(const payload::CompiledPayload& payload,
         }
         ready.fetch_add(1, std::memory_order_release);
         ready.notify_all();
-        int state;
-        while ((state = go.load(std::memory_order_acquire)) == kWait) std::this_thread::yield();
-        if (state == kRun) payload.fn()(&buffers[i]->args(), iterations);
+        go.wait(kWait, std::memory_order_acquire);
+        if (go.load(std::memory_order_acquire) == kRun)
+          payload.fn()(&buffers[i]->args(), iterations);
       });
     }
   } catch (...) {

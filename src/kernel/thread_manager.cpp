@@ -4,7 +4,9 @@
 #include <sched.h>
 
 #include <chrono>
+#include <string>
 
+#include "metrics/sysfs.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -19,6 +21,17 @@ void pin_to_cpu(int cpu) {
   CPU_SET(static_cast<unsigned>(cpu), &set);
   if (::pthread_setaffinity_np(::pthread_self(), sizeof set, &set) != 0)
     log::warn() << "failed to pin worker to CPU " << cpu << " (continuing unpinned)";
+}
+
+/// The host's transparent-huge-page mode: the bracketed word of the sysfs
+/// setting ("always", "madvise" or "never"), or "unavailable" without THP.
+std::string transparent_huge_page_mode() {
+  const std::string setting =
+      metrics::read_sysfs_line("/sys/kernel/mm/transparent_hugepage/enabled");
+  const auto open = setting.find('[');
+  const auto close = setting.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) return "unavailable";
+  return setting.substr(open + 1, close - open - 1);
 }
 
 }  // namespace
@@ -55,6 +68,19 @@ ThreadManager::ThreadManager(const payload::CompiledPayload& payload, RunOptions
     stop();
     std::rethrow_exception(worker->setup_error);
   }
+  // Set-up time is dominated by first-touch page faults, so say how the
+  // buffers are backed: a slow set-up under THP "never" explains itself.
+  const payload::RegionSizes& sizes = buffers_.front()->sizes();
+  std::size_t advised = 0;
+  for (const auto& buffer : buffers_) advised += buffer->huge_page_advised_bytes();
+  using payload::MemoryLevel;
+  log::debug() << "kernel: worker buffers " << log::kv("workers", n) << ' '
+               << log::kv("l1_bytes", sizes.bytes[static_cast<int>(MemoryLevel::kL1)]) << ' '
+               << log::kv("l2_bytes", sizes.bytes[static_cast<int>(MemoryLevel::kL2)]) << ' '
+               << log::kv("l3_bytes", sizes.bytes[static_cast<int>(MemoryLevel::kL3)]) << ' '
+               << log::kv("ram_bytes", sizes.bytes[static_cast<int>(MemoryLevel::kRam)]) << ' '
+               << log::kv("huge_page_advised_bytes", advised) << ' '
+               << log::kv("thp", transparent_huge_page_mode());
 }
 
 ThreadManager::~ThreadManager() { stop(); }
@@ -68,12 +94,14 @@ void ThreadManager::start() {
   if (options_.epoch) clock_.restart_at(*options_.epoch);
   else clock_.restart();
   started_.store(true, std::memory_order_release);
+  started_.notify_all();
 }
 
 void ThreadManager::stop() {
   if (stopped_.exchange(true)) return;
   stop_flag_.store(true, std::memory_order_release);
   started_.store(true, std::memory_order_release);  // unblock workers never started
+  started_.notify_all();
   for (auto& worker : workers_)
     if (worker->thread.joinable()) worker->thread.join();
 }
@@ -102,7 +130,9 @@ void ThreadManager::worker_main(std::size_t index, int cpu) {
   ready_count_.notify_all();
   if (self.setup_error) return;
 
-  while (!started_.load(std::memory_order_acquire)) std::this_thread::yield();
+  // Block, not spin: a worker burning its CPU between construction and
+  // start() would draw power before the measured phase begins.
+  started_.wait(false, std::memory_order_acquire);
 
   const payload::KernelFn kernel = payload_.fn();
   payload::WorkBuffer& buffer = *buffers_[index];

@@ -1,5 +1,7 @@
 #include "payload/data.hpp"
 
+#include <sys/mman.h>
+
 #include <cstdlib>
 #include <cstring>
 
@@ -27,6 +29,11 @@ void* aligned_allocate(std::size_t alignment, std::size_t bytes) {
                                 alignment));
   return mem;
 }
+
+/// Smallest region worth backing with transparent huge pages: one x86-64
+/// huge page. Regions are powers of two aligned to twice their size, so one
+/// this large is huge-page aligned and a whole number of huge pages.
+constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
 
 }  // namespace
 
@@ -97,6 +104,12 @@ WorkBuffer::WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats)
     allocations_[level + 1].reset(aligned_allocate(2 * size, size + pad_bytes_[level]));
     *region_ptrs[level] = static_cast<double*>(allocations_[level + 1].get());
     allocated_ += size + pad_bytes_[level];
+    // Back large regions with 2 MiB pages: about 500x fewer first-touch
+    // faults and far fewer TLB misses while streaming. Only the region is
+    // advised, so a pad tail never pulls in a huge page of its own. An OS
+    // without THP support refuses the advice and keeps 4 KiB pages.
+    if (size >= kHugePageBytes && ::madvise(*region_ptrs[level], size, MADV_HUGEPAGE) == 0)
+      huge_page_advised_ += size;
   }
 }
 

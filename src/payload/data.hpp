@@ -81,8 +81,10 @@ class WorkBuffer {
   /// Allocate regions of `sizes`, with enough padding for `stats`' maximum
   /// per-iteration line span. The constants block and the dump area start
   /// zeroed; the streaming regions hold unspecified data (and stay untouched,
-  /// so unfaulted) until init(). Throws fs2::Error on allocation failure,
-  /// releasing whatever was already allocated.
+  /// so unfaulted) until init(). Regions of 2 MiB and more are advised for
+  /// transparent huge pages (madvise MADV_HUGEPAGE; the pad is not). Throws
+  /// fs2::Error on allocation failure, releasing whatever was already
+  /// allocated.
   WorkBuffer(const RegionSizes& sizes, const SequenceStats& stats);
   WorkBuffer(const WorkBuffer&) = delete;
   WorkBuffer& operator=(const WorkBuffer&) = delete;
@@ -111,6 +113,9 @@ class WorkBuffer {
   /// Total allocated bytes (diagnostics).
   std::size_t allocated_bytes() const { return allocated_; }
 
+  /// Region bytes the OS accepted huge-page advice for (diagnostics).
+  std::size_t huge_page_advised_bytes() const { return huge_page_advised_; }
+
  private:
   struct Free {
     void operator()(void* mem) const { std::free(mem); }
@@ -121,6 +126,7 @@ class WorkBuffer {
   KernelArgs args_;
   std::unique_ptr<void, Free> allocations_[6];
   std::size_t allocated_ = 0;
+  std::size_t huge_page_advised_ = 0;
 };
 
 }  // namespace fs2::payload

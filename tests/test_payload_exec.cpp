@@ -7,7 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "arch/cpuid.hpp"
 #include "payload/compiler.hpp"
@@ -31,6 +36,39 @@ CompileOptions small_options(std::uint32_t unroll = 64) {
   options.unroll = unroll;
   options.ram_region_bytes = 1 << 20;  // keep test allocations small
   return options;
+}
+
+/// Stats of a four-level payload whose L3 (4 MiB on zen2) and RAM (2 MiB)
+/// regions are large enough for WorkBuffer's huge-page advice.
+PayloadStats huge_region_stats() {
+  CompileOptions options = small_options(16);
+  options.ram_region_bytes = 2 << 20;
+  return analyze_payload(find_function("FUNC_FMA_256_ZEN2").mix,
+                         InstructionGroups::parse("RAM_L:1,L3_L:1,L2_L:1,L1_L:1"), test_caches(),
+                         options);
+}
+
+void fnv1a(std::uint64_t& hash, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) hash = (hash ^ p[i]) * 0x100000001b3ULL;
+}
+
+/// `VmFlags` of the /proc/self/smaps mapping that holds `addr` ("" if none).
+std::string vm_flags_of(const void* addr) {
+  const auto target = reinterpret_cast<std::uintptr_t>(addr);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  for (std::string line; std::getline(smaps, line);) {
+    std::uintptr_t begin = 0, end = 0;
+    char dash = 0;
+    std::istringstream header(line);
+    if (header >> std::hex >> begin >> dash >> end && dash == '-') {
+      inside = begin <= target && target < end;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line.substr(8) + ' ';
+    }
+  }
+  return "";
 }
 
 struct ExecCase {
@@ -268,6 +306,43 @@ TEST(PayloadBuffer, InitWritesWholeRegionSpan) {
     }
     EXPECT_EQ(bad, 0u) << "level " << level << ": " << spans[level] << " doubles";
   }
+}
+
+TEST(PayloadBuffer, InitMatchesGoldenHash) {
+  // Pins the operand bytes themselves, not just their repeatability: any
+  // change to the values, their order or the span init() writes moves the
+  // FNV-1a hash of the constants block and every region's size + pad span.
+  // The regions are large enough to take the huge-page advice, which must
+  // leave the contents alone.
+  const auto stats = huge_region_stats();
+  WorkBuffer buffer(stats.regions, stats.sequence);
+  ASSERT_GE(buffer.sizes().bytes[static_cast<int>(MemoryLevel::kL3)], 2u << 20);
+  ASSERT_GE(buffer.sizes().bytes[static_cast<int>(MemoryLevel::kRam)], 2u << 20);
+  buffer.init(DataInitPolicy::kSafe, 0x5eed);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  fnv1a(hash, buffer.args().consts, ConstLayout::kDoubles * sizeof(double));
+  const double* regions[] = {buffer.args().l1, buffer.args().l2, buffer.args().l3,
+                             buffer.args().ram};
+  for (int level = 1; level < kNumMemoryLevels; ++level)
+    fnv1a(hash, regions[level - 1],
+          buffer.sizes().bytes[level] + buffer.pad_bytes(static_cast<MemoryLevel>(level)));
+  EXPECT_EQ(hash, 0xd836d9eb1f538dc1ULL) << std::hex << "hash 0x" << hash;
+}
+
+TEST(PayloadBuffer, LargeRegionsCarryHugePageAdvice) {
+  // Checks the advice (the VMA flag), not AnonHugePages: whether the kernel
+  // actually backs the range with huge pages depends on fragmentation.
+  if (!std::filesystem::exists("/sys/kernel/mm/transparent_hugepage/enabled"))
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  const auto stats = huge_region_stats();
+  WorkBuffer buffer(stats.regions, stats.sequence);
+  EXPECT_NE(vm_flags_of(buffer.args().l3).find(" hg "), std::string::npos)
+      << vm_flags_of(buffer.args().l3);
+  EXPECT_NE(vm_flags_of(buffer.args().ram).find(" hg "), std::string::npos)
+      << vm_flags_of(buffer.args().ram);
+  const std::string l1_flags = vm_flags_of(buffer.args().l1);
+  ASSERT_FALSE(l1_flags.empty());
+  EXPECT_EQ(l1_flags.find(" hg "), std::string::npos) << l1_flags;
 }
 
 }  // namespace
